@@ -1,5 +1,5 @@
-// Event-core microbenchmark: pooled scheduler (heap and timer-wheel
-// backends) vs the seed design.
+// Event-core microbenchmark: the pooled timer-wheel scheduler vs the seed
+// design.
 //
 // The presenter emits ONE line of JSON to stdout so future PRs can track
 // the perf trajectory in BENCH_*.json files:
@@ -16,10 +16,10 @@
 //
 // "Legacy" is a frozen copy of the seed scheduler (shared_ptr<State> per
 // event + type-erased std::function + lazy-cancel priority_queue), kept here
-// so the comparison survives the seed's replacement. "Pooled" is the slab
-// pool + indexed binary heap; "wheel" is the same pool behind the
-// hierarchical TimerWheel backend (sim/scheduler.hpp) — both fire the
-// identical event order, so the delta is pure scheduler cost.
+// so the comparison survives the seed's replacement. "Pooled" is today's
+// sim::Simulator: the slab event pool ordered by the hierarchical
+// TimerWheel (sim/scheduler.hpp). Both fire the identical event order, so
+// the delta is pure scheduler cost.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -167,17 +167,12 @@ ScenarioDef def() {
     d.name = "event_loop";
     d.title = "Event-core microbench: pooled scheduler vs the seed design";
     d.measure = [](const ScenarioSpec&, const Point&) {
-        using tcplp::sim::SchedulerKind;
-        using tcplp::sim::SimConfig;
         // Delta, not the absolute counter: the global accumulates across
         // every simulation this process ran before (in a campaign a worker
         // executes other scenarios' points back-to-back), and rows must be
         // independent of execution order.
         const std::uint64_t fallbacksBefore = tcplp::sim::SmallFn::heapFallbacks();
-        const RunResult pooled = runWorkload<tcplp::sim::Simulator, tcplp::sim::Timer>(
-            SimConfig{1, SchedulerKind::kBinaryHeap});
-        const RunResult wheel = runWorkload<tcplp::sim::Simulator, tcplp::sim::Timer>(
-            SimConfig{1, SchedulerKind::kTimerWheel});
+        const RunResult pooled = runWorkload<tcplp::sim::Simulator, tcplp::sim::Timer>(1);
         const RunResult legacy = runWorkload<LegacySimulator, LegacyTimer>();
         const double denom = pooled.allocsPerEvent > 1e-9 ? pooled.allocsPerEvent : 1e-9;
         scenario::MetricRow row;
@@ -186,10 +181,6 @@ ScenarioDef def() {
             .set("pooled_events_per_sec", pooled.eventsPerSec)
             .set("pooled_ns_per_event", pooled.nsPerEvent)
             .set("pooled_allocs_per_event", pooled.allocsPerEvent)
-            .set("wheel_events_per_sec", wheel.eventsPerSec)
-            .set("wheel_ns_per_event", wheel.nsPerEvent)
-            .set("wheel_allocs_per_event", wheel.allocsPerEvent)
-            .set("wheel_vs_heap_speedup", pooled.nsPerEvent / wheel.nsPerEvent)
             .set("legacy_events_per_sec", legacy.eventsPerSec)
             .set("legacy_ns_per_event", legacy.nsPerEvent)
             .set("legacy_allocs_per_event", legacy.allocsPerEvent)
@@ -204,17 +195,13 @@ ScenarioDef def() {
             "{\"bench\":\"event_loop\",\"events\":%.0f,\"timers\":%.0f,"
             "\"pooled_events_per_sec\":%.0f,\"pooled_ns_per_event\":%.1f,"
             "\"pooled_allocs_per_event\":%.6f,"
-            "\"wheel_events_per_sec\":%.0f,\"wheel_ns_per_event\":%.1f,"
-            "\"wheel_allocs_per_event\":%.6f,\"wheel_vs_heap_speedup\":%.2f,"
             "\"legacy_events_per_sec\":%.0f,\"legacy_ns_per_event\":%.1f,"
             "\"legacy_allocs_per_event\":%.6f,"
             "\"alloc_reduction_factor\":%.1f,"
             "\"smallfn_heap_fallbacks\":%.0f}\n",
             row.number("events"), row.number("timers"),
             row.number("pooled_events_per_sec"), row.number("pooled_ns_per_event"),
-            row.number("pooled_allocs_per_event"), row.number("wheel_events_per_sec"),
-            row.number("wheel_ns_per_event"), row.number("wheel_allocs_per_event"),
-            row.number("wheel_vs_heap_speedup"), row.number("legacy_events_per_sec"),
+            row.number("pooled_allocs_per_event"), row.number("legacy_events_per_sec"),
             row.number("legacy_ns_per_event"), row.number("legacy_allocs_per_event"),
             row.number("alloc_reduction_factor"), row.number("smallfn_heap_fallbacks"));
     };

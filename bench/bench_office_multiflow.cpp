@@ -12,9 +12,9 @@ ScenarioDef def() {
     ScenarioDef d;
     d.name = "office_multiflow";
     d.title = "Office multi-flow: mixed uplink/downlink over the Fig. 3 tree";
-    // Shared preset (also behind the timer_wheel_ab A/B and the scheduler
-    // equivalence tests): sensors 12/14 stream up, 13/15 receive bulk
-    // downlink (3-5 hops out), all four flows saturating.
+    // Shared preset (scenario::officeMultiflowSpec): sensors 12/14 stream
+    // up, 13/15 receive bulk downlink (3-5 hops out), all four flows
+    // saturating.
     d.base = scenario::officeMultiflowSpec();
     d.seeds = {1, 2};
     d.present = [](const SweepResult& r) {

@@ -66,7 +66,6 @@ const char* protocolName(SensorProtocol p) {
 AnemometerResult runAnemometer(const AnemometerOptions& options) {
     TestbedConfig cfg;
     cfg.seed = options.seed;
-    cfg.scheduler = options.scheduler;
     cfg.sleepyLeaves = {12, 13, 14, 15};
     cfg.sleepyConfig.policy = mac::PollPolicy::kTransportHint;
     // §7.1's fix is assumed throughout the application study: a random

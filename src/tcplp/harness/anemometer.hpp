@@ -42,8 +42,6 @@ struct AnemometerOptions {
     /// through mesh::NodeConfig::tcpCc so the rig reads it off its node.
     tcp::CcKind cc = tcp::CcKind::kNewReno;
     std::uint64_t seed = 1;
-    /// Simulator ready-queue backend (pure perf knob; identical results).
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
     /// Optional delivery-log tap installed on the testbed channel.
     phy::Channel::DeliveryTap deliveryTap;
 };

@@ -10,7 +10,7 @@ namespace tcplp::harness {
 
 Testbed::Testbed(TestbedConfig config)
     : config_(config),
-      simulator_(sim::SimConfig{config.seed, config.scheduler}),
+      simulator_(config.seed),
       channel_(simulator_, config.radioRangeMeters) {
     if (config_.linkLoss > 0.0) channel_.setDefaultLoss(config_.linkLoss);
     channel_.setBitsPerSecond(config_.airBitsPerSecond);

@@ -23,9 +23,6 @@ namespace tcplp::harness {
 
 struct TestbedConfig {
     std::uint64_t seed = 1;
-    /// Ready-queue backend for the testbed's simulator (heap or timer
-    /// wheel); both fire events in the identical order — a pure perf knob.
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
     mesh::NodeConfig nodeDefaults{};
     double nodeSpacingMeters = 10.0;
     double radioRangeMeters = 12.0;  // adjacent in range, 2-apart out of range

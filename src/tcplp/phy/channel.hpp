@@ -168,9 +168,8 @@ public:
 
     /// Optional delivery log tap: invoked once per in-range listener at
     /// delivery time — (now, transmitter, listener, MPDU bytes, faded) — in
-    /// exactly the order the RNG fading draws are made. The scheduler
-    /// equivalence suite hashes this stream to prove heap- and wheel-backed
-    /// simulations deliver identical frame sequences.
+    /// exactly the order the RNG fading draws are made, so a hash of the
+    /// stream fingerprints a run's frame sequence.
     using DeliveryTap =
         std::function<void(sim::Time, NodeId, NodeId, std::size_t, bool)>;
     void setDeliveryTap(DeliveryTap tap) { deliveryTap_ = std::move(tap); }

@@ -141,9 +141,7 @@ bool writeJsonLines(const std::string& path, const std::vector<MetricRow>& rows)
 // --- Timing-field canonicalization ----------------------------------------
 
 bool isTimingField(const std::string& key) {
-    static const char* kExact[] = {"wall_ms",      "backend",
-                                   "cores",        "speedup",
-                                   "auto_speedup", "wheel_vs_heap_speedup"};
+    static const char* kExact[] = {"wall_ms", "cores", "speedup", "auto_speedup"};
     for (const char* name : kExact) {
         if (key == name) return true;
     }

@@ -89,17 +89,16 @@ bool writeJsonLines(const std::string& path, const std::vector<MetricRow>& rows)
 
 // --- Timing-field canonicalization ----------------------------------------
 //
-// A handful of metric keys record *wall-clock* observations (worker-process
-// timings, throughput rates) or pure perf-knob labels. They are the only
+// A handful of metric keys record *host* observations (worker-process
+// timings, throughput rates, allocation counts). They are the only
 // fields of a row that legitimately differ between two runs of the same
 // (spec, seed), so every determinism consumer — campaign output, the golden
 // regression corpus, the jobs-N-vs-serial identity checks — strips them
 // before comparing or persisting. The list is a fixed convention (documented
 // in docs/SCENARIOS.md):
 //
-//   exact:  wall_ms, backend, cores, speedup, auto_speedup,
-//           wheel_vs_heap_speedup
-//   suffix: *_per_sec, *_ns_per_event, *_wall_ms
+//   exact:  wall_ms, cores, speedup, auto_speedup
+//   suffix: *_per_sec, *_ns_per_event, *_wall_ms, *_allocs_per_frame
 //
 // Simulated-time metrics (rtt_median_ms, ...) are NOT timing fields: they
 // are deterministic outputs of the simulation and must be pinned.

@@ -49,11 +49,6 @@ enum class LinkPreset : std::uint8_t {
 
 struct TopologySpec {
     TopologyKind kind = TopologyKind::kLine;
-    /// Simulator ready-queue backend (binary heap or hierarchical timer
-    /// wheel). Both fire events in the identical (when, seq) order, so this
-    /// is a pure perf axis — sweeps grid over it via the `scheduler` axis
-    /// (0 = heap, 1 = wheel; see schedulerFromAxis).
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
     std::size_t hops = 1;    // kLine
     std::size_t nodes = 16;  // kGrid / kStar: mesh nodes incl. border router
     double spacingMeters = 10.0;
@@ -177,8 +172,8 @@ struct WorkloadSpec {
     /// Non-declarative escape hatch for the Fig. 7 cwnd trace.
     tcp::TcpSocket::CwndTracer cwndTracer;
     /// Non-declarative escape hatch: installed on the testbed's channel for
-    /// radio workloads. The scheduler A/B suite hashes the delivery log with
-    /// it to prove heap- and wheel-backed runs are bit-identical.
+    /// radio workloads. Benches and the steady-state allocation test count
+    /// or fingerprint the delivery stream with it.
     phy::Channel::DeliveryTap deliveryTap;
 
     // kEmbeddedBulk (Table 7).
@@ -242,14 +237,6 @@ struct ScenarioSpec {
 /// 1 = inject the plan. Bind hooks use this so every chaos scenario spells
 /// the axis the same way.
 inline bool faultFromAxis(double value) { return value >= 0.5; }
-
-/// Canonical mapping of the `scheduler` sweep axis onto the backend enum:
-/// 0 = indexed binary heap, 1 = hierarchical timer wheel. Bind hooks use
-/// this so every scenario spells the axis the same way.
-inline sim::SchedulerKind schedulerFromAxis(double value) {
-    return value >= 0.5 ? sim::SchedulerKind::kTimerWheel
-                        : sim::SchedulerKind::kBinaryHeap;
-}
 
 /// Canonical mapping of the `cc` sweep axis onto the strategy enum:
 /// 0 = NewReno (the paper's stock behavior), 1 = CERL-style loss

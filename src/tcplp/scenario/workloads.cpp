@@ -66,7 +66,6 @@ void applyEsp32Preset(harness::TestbedConfig& cfg) {
 harness::TestbedConfig testbedConfigFor(const TopologySpec& t, std::uint64_t seed) {
     harness::TestbedConfig cfg;
     cfg.seed = seed;
-    cfg.scheduler = t.scheduler;
     if (t.linkPreset == LinkPreset::kEsp32) applyEsp32Preset(cfg);
     if (t.macAggFrames) cfg.nodeDefaults.macConfig.aggFrames = *t.macAggFrames;
     if (t.tcpRecvBudgetBytes) cfg.nodeDefaults.tcpRecvBudgetBytes = *t.tcpRecvBudgetBytes;
@@ -340,7 +339,6 @@ SleepyRunResult runSleepyBulk(const ScenarioSpec& spec, std::uint64_t seed) {
     // workload knob; construction order matches the pre-refactor path.
     harness::TestbedConfig cfg;
     cfg.seed = seed;
-    cfg.scheduler = spec.topology.scheduler;
     auto tb = std::make_unique<harness::Testbed>(cfg);
 
     mesh::NodeConfig rc = cfg.nodeDefaults;
@@ -593,7 +591,7 @@ BulkRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed) {
 PipeRunResult runPipeBulk(const ScenarioSpec& spec, std::uint64_t seed) {
     const TopologySpec& t = spec.topology;
     const WorkloadSpec& w = spec.workload;
-    sim::Simulator simulator(sim::SimConfig{seed, t.scheduler});
+    sim::Simulator simulator(seed);
     harness::PipeConfig pc;
     pc.oneWayDelay = t.pipeOneWayDelay;
     pc.bandwidthBps = t.pipeBandwidthBps;
@@ -638,7 +636,6 @@ harness::AnemometerResult runAnemometerSpec(const ScenarioSpec& spec,
                                             std::uint64_t seed) {
     harness::AnemometerOptions o = spec.workload.anemometer;
     o.seed = seed;
-    o.scheduler = spec.topology.scheduler;
     o.cc = spec.workload.cc;
     if (spec.workload.deliveryTap) o.deliveryTap = spec.workload.deliveryTap;
     return harness::runAnemometer(o);

@@ -41,10 +41,9 @@ mesh::Node& senderMote(harness::Testbed& tb, const TopologySpec& t);
 
 // --- Shared scenario presets ---------------------------------------------
 // The canonical multiflow workloads, used by the registered drivers
-// (bench_office_multiflow, bench_grid200), the scheduler A/B bench
-// (bench_timer_wheel) and the backend-equivalence tests — one definition,
-// so a tuning change propagates to every consumer. Only the run duration
-// varies per consumer.
+// (bench_office_multiflow, bench_grid200, bench_city_scale) — one
+// definition, so a tuning change propagates to every consumer. Only the run
+// duration varies per consumer.
 
 /// Mixed uplink/downlink over the Fig. 3 office tree: sensors 12/14 stream
 /// up while 13/15 receive bulk downlink (3-5 hops out), all saturating.

@@ -1,39 +1,34 @@
-// Ready-queue backends for the discrete-event simulator.
+// The discrete-event simulator's ready queue.
 //
 // The Simulator owns a pool of event records (slab-allocated, recycled,
-// generation-counted — see EventPool) and delegates *ordering* to a
-// Scheduler: the structure that answers "which pending event fires next?".
-// Two backends implement the same total order (when, then scheduling seq):
+// generation-counted — see EventPool) and a TimerWheel that orders them:
+// the structure that answers "which pending event fires next?" in the total
+// order (when, then scheduling seq).
 //
-//  * HeapScheduler — the indexed binary heap from PR 1. Cancellation removes
-//    the entry eagerly (no lazy tombstones) and a pending event can be
-//    re-sorted in place in O(log n), which is what Timer::start does on
-//    re-arm.
+// TimerWheel is a hierarchical timing wheel (Varghese & Lauck), 4 levels x
+// 64 slots with a ~1 ms tick (1024 us, so tick extraction is a shift) and an
+// overflow list for deadlines beyond the top level's horizon (64^4 ticks
+// ~= 4.8 hours of simulated time). Insert, cancel and re-arm are O(1) list
+// splices; finding the next event scans a 64-bit occupancy mask per level.
+// The protocol workload — RTO, delayed-ACK, persist, CSMA backoff and
+// sleepy-MAC poll timers clustering at a handful of deadlines — is exactly
+// the regime a wheel is built for.
 //
-//  * TimerWheel — a hierarchical timing wheel (Varghese & Lauck), 4 levels x
-//    64 slots with a ~1 ms tick (1024 us, so tick extraction is a shift) and
-//    an overflow list for deadlines beyond the top level's horizon
-//    (64^4 ticks ~= 4.8 hours of simulated time). Insert, cancel and re-arm are O(1) list splices;
-//    finding the next event scans a 64-bit occupancy mask per level. The
-//    protocol workload — RTO, delayed-ACK, persist, CSMA backoff and
-//    sleepy-MAC poll timers clustering at a handful of deadlines — is
-//    exactly the regime where the wheel beats the heap's log-n re-sorting.
+// The wheel is exact: ticks only bucket events, and the earliest bucket is
+// scanned for the (when, seq) minimum, so events fire in exact microsecond
+// order with scheduling seq breaking ties. tests/test_scheduler_property.cpp
+// pins this against a std::multimap oracle on seeded random and adversarial
+// operation sequences; tests/test_sim.cpp covers it through the Simulator.
 //
-// Both backends are exact: events fire in identical (when, seq) order, so a
-// Simulator produces bit-identical runs (same RNG draw sequence, same
-// delivery logs) regardless of the configured backend. The equivalence is
-// pinned by tests/test_sim.cpp (storm suites run against both) and
-// tests/test_timer_wheel.cpp (office / grid200 scenario digests).
-//
-// Bucket placement in the wheel is *alignment-based*: an event with deadline
-// tick T lives at the lowest level L whose 64^(L+1)-tick aligned window also
-// contains the wheel's base tick (base <= every pending tick, maintained at
-// fire time). Within the shared parent window, T's level-L index is >= the
-// base's, so each level scans forward only — no wrap-around — and the first
-// occupied bucket of the lowest occupied level holds the globally earliest
-// event. Advancing the base relocates exactly one bucket per level (the one
-// the new base maps into), which is how far-future events cascade toward
-// level 0 as simulated time approaches them.
+// Bucket placement is *alignment-based*: an event with deadline tick T lives
+// at the lowest level L whose 64^(L+1)-tick aligned window also contains the
+// wheel's base tick (base <= every pending tick, maintained at fire time).
+// Within the shared parent window, T's level-L index is >= the base's, so
+// each level scans forward only — no wrap-around — and the first occupied
+// bucket of the lowest occupied level holds the globally earliest event.
+// Advancing the base relocates exactly one bucket per level (the one the new
+// base maps into), which is how far-future events cascade toward level 0 as
+// simulated time approaches them.
 #pragma once
 
 #include <bit>
@@ -48,22 +43,14 @@
 
 namespace tcplp::sim {
 
-/// Ready-queue backend selector, configured per Simulator via SimConfig.
-enum class SchedulerKind : std::uint8_t { kBinaryHeap, kTimerWheel };
-
-inline const char* schedulerKindName(SchedulerKind kind) {
-    return kind == SchedulerKind::kTimerWheel ? "wheel" : "heap";
-}
-
 namespace detail {
 
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNotQueued = std::numeric_limits<std::uint32_t>::max();
 
-/// One pooled event. `queuePos` is backend bookkeeping — the heap index or
-/// the wheel bucket id — and doubles as the pending flag (kNotQueued when
-/// the record is not scheduled). `next`/`prev` are the intrusive links of a
-/// TimerWheel bucket list; the heap leaves them untouched.
+/// One pooled event. `queuePos` is the wheel bucket holding the record and
+/// doubles as the pending flag (kNotQueued when the record is not
+/// scheduled). `next`/`prev` are the intrusive links of that bucket's list.
 struct EventRecord {
     SmallFn fn;
     Time when = 0;
@@ -123,136 +110,28 @@ private:
 
 }  // namespace detail
 
-/// Ordering backend over pooled event records. All operations refer to pool
-/// slots whose `when`/`seq` the Simulator has already filled in; the backend
-/// maintains `queuePos` and must present events in (when, seq) order.
-class Scheduler {
-public:
-    explicit Scheduler(detail::EventPool& pool) : pool_(pool) {}
-    virtual ~Scheduler() = default;
-    Scheduler(const Scheduler&) = delete;
-    Scheduler& operator=(const Scheduler&) = delete;
-
-    /// Enqueues `slot` (not currently queued).
-    virtual void push(std::uint32_t slot) = 0;
-    /// Re-sorts a queued `slot` after its when/seq changed (Timer re-arm).
-    virtual void update(std::uint32_t slot) = 0;
-    /// Removes a queued `slot` (cancellation or firing).
-    virtual void remove(std::uint32_t slot) = 0;
-    /// Slot of the (when, seq)-minimum queued event; kNoSlot when empty.
-    /// May cache — any mutation invalidates internally.
-    virtual std::uint32_t peekMin() = 0;
-    /// Hint that simulated time reached `now` (every queued deadline is
-    /// >= now). The wheel uses it to advance its base and cascade buckets;
-    /// the heap ignores it.
-    virtual void onTimeAdvance(Time now) { (void)now; }
-
-    std::size_t size() const { return size_; }
-    SchedulerKind kind() const { return kind_; }
-
-protected:
-    bool earlier(std::uint32_t a, std::uint32_t b) const {
-        const detail::EventRecord& ra = pool_.record(a);
-        const detail::EventRecord& rb = pool_.record(b);
-        if (ra.when != rb.when) return ra.when < rb.when;
-        return ra.seq < rb.seq;
-    }
-
-    detail::EventPool& pool_;
-    std::size_t size_ = 0;
-    SchedulerKind kind_ = SchedulerKind::kBinaryHeap;
-};
-
-/// Indexed binary heap over event records, ordered by (when, seq); each
-/// record tracks its heap position in `queuePos`, so cancel and reschedule
-/// are O(log n) with no tombstones.
-class HeapScheduler final : public Scheduler {
-public:
-    explicit HeapScheduler(detail::EventPool& pool) : Scheduler(pool) {
-        kind_ = SchedulerKind::kBinaryHeap;
-    }
-
-    void push(std::uint32_t slot) override {
-        heap_.push_back(slot);
-        pool_.record(slot).queuePos = std::uint32_t(heap_.size() - 1);
-        siftUp(heap_.size() - 1);
-        ++size_;
-    }
-
-    void update(std::uint32_t slot) override { fix(pool_.record(slot).queuePos); }
-
-    void remove(std::uint32_t slot) override {
-        const std::size_t index = pool_.record(slot).queuePos;
-        pool_.record(slot).queuePos = detail::kNotQueued;
-        const std::uint32_t last = heap_.back();
-        heap_.pop_back();
-        if (index < heap_.size()) {
-            place(index, last);
-            fix(index);
-        }
-        --size_;
-    }
-
-    std::uint32_t peekMin() override {
-        return heap_.empty() ? detail::kNoSlot : heap_.front();
-    }
-
-private:
-    void place(std::size_t index, std::uint32_t slot) {
-        heap_[index] = slot;
-        pool_.record(slot).queuePos = std::uint32_t(index);
-    }
-
-    void fix(std::size_t index) {
-        siftUp(index);
-        siftDown(index);
-    }
-
-    void siftUp(std::size_t index) {
-        const std::uint32_t slot = heap_[index];
-        while (index > 0) {
-            const std::size_t parent = (index - 1) / 2;
-            if (!earlier(slot, heap_[parent])) break;
-            place(index, heap_[parent]);
-            index = parent;
-        }
-        place(index, slot);
-    }
-
-    void siftDown(std::size_t index) {
-        const std::uint32_t slot = heap_[index];
-        const std::size_t n = heap_.size();
-        while (true) {
-            std::size_t child = 2 * index + 1;
-            if (child >= n) break;
-            if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-            if (!earlier(heap_[child], slot)) break;
-            place(index, heap_[child]);
-            index = child;
-        }
-        place(index, slot);
-    }
-
-    std::vector<std::uint32_t> heap_;
-};
-
-/// Hierarchical timing wheel: kLevels levels of kSlots buckets, tick =
-/// 2^kTickShift microseconds, plus an overflow list beyond the top level's
-/// horizon. See the file comment for the placement/cascade invariants.
-class TimerWheel final : public Scheduler {
+/// Hierarchical timing wheel over pooled event records: kLevels levels of
+/// kSlots buckets, tick = 2^kTickShift microseconds, plus an overflow list
+/// beyond the top level's horizon. All operations refer to pool slots whose
+/// `when`/`seq` the Simulator has already filled in; the wheel maintains
+/// `queuePos` and presents events in (when, seq) order. See the file comment
+/// for the placement/cascade invariants.
+class TimerWheel {
 public:
     static constexpr int kTickShift = 10;  // 1024 us ~= the 1 ms protocol tick
     static constexpr int kLevelBits = 6;
     static constexpr int kLevels = 4;
     static constexpr std::uint32_t kSlots = 1u << kLevelBits;
 
-    explicit TimerWheel(detail::EventPool& pool) : Scheduler(pool) {
-        kind_ = SchedulerKind::kTimerWheel;
+    explicit TimerWheel(detail::EventPool& pool) : pool_(pool) {
         for (auto& level : heads_)
             for (auto& head : level) head = detail::kNoSlot;
     }
+    TimerWheel(const TimerWheel&) = delete;
+    TimerWheel& operator=(const TimerWheel&) = delete;
 
-    void push(std::uint32_t slot) override {
+    /// Enqueues `slot` (not currently queued).
+    void push(std::uint32_t slot) {
         place(slot);
         ++size_;
         // A new earlier-than-cached event becomes the cached min directly;
@@ -260,7 +139,8 @@ public:
         if (cachedMin_ != detail::kNoSlot && earlier(slot, cachedMin_)) cachedMin_ = slot;
     }
 
-    void update(std::uint32_t slot) override {
+    /// Re-sorts a queued `slot` after its when/seq changed (Timer re-arm).
+    void update(std::uint32_t slot) {
         unlink(slot);
         place(slot);
         if (slot == cachedMin_) {
@@ -270,14 +150,16 @@ public:
         }
     }
 
-    void remove(std::uint32_t slot) override {
+    /// Removes a queued `slot` (cancellation or firing).
+    void remove(std::uint32_t slot) {
         unlink(slot);
         pool_.record(slot).queuePos = detail::kNotQueued;
         --size_;
         if (slot == cachedMin_) cachedMin_ = detail::kNoSlot;
     }
 
-    std::uint32_t peekMin() override {
+    /// Slot of the (when, seq)-minimum queued event; kNoSlot when empty.
+    std::uint32_t peekMin() {
         if (size_ == 0) return detail::kNoSlot;
         if (cachedMin_ != detail::kNoSlot) return cachedMin_;
         for (int level = 0; level < kLevels; ++level) {
@@ -293,12 +175,21 @@ public:
         return cachedMin_;
     }
 
-    void onTimeAdvance(Time now) override {
-        advanceTo(std::uint64_t(now) >> kTickShift);
-    }
+    /// Simulated time reached `now` (every queued deadline is >= now):
+    /// advances the base and cascades far-future buckets toward level 0.
+    void onTimeAdvance(Time now) { advanceTo(tickOf(now)); }
+
+    std::size_t size() const { return size_; }
 
 private:
     static std::uint64_t tickOf(Time when) { return std::uint64_t(when) >> kTickShift; }
+
+    bool earlier(std::uint32_t a, std::uint32_t b) const {
+        const detail::EventRecord& ra = pool_.record(a);
+        const detail::EventRecord& rb = pool_.record(b);
+        if (ra.when != rb.when) return ra.when < rb.when;
+        return ra.seq < rb.seq;
+    }
 
     /// Buckets are addressed as level * kSlots + index; the overflow list is
     /// the bucket past the last level.
@@ -403,17 +294,13 @@ private:
         }
     }
 
+    detail::EventPool& pool_;
+    std::size_t size_ = 0;
     std::uint64_t base_ = 0;  // tick floor of simulated now; <= every deadline
     std::uint32_t cachedMin_ = detail::kNoSlot;
     std::uint64_t masks_[kLevels] = {};
     std::uint32_t heads_[kLevels][kSlots];
     std::uint32_t overflowHead_ = detail::kNoSlot;
 };
-
-inline std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind,
-                                                detail::EventPool& pool) {
-    if (kind == SchedulerKind::kTimerWheel) return std::make_unique<TimerWheel>(pool);
-    return std::make_unique<HeapScheduler>(pool);
-}
 
 }  // namespace tcplp::sim

@@ -12,13 +12,10 @@
 // generation-counted slot references — no shared_ptr/weak_ptr churn per
 // event.
 //
-// Ordering is delegated to a Scheduler backend (sim/scheduler.hpp), selected
-// per Simulator via SimConfig: the indexed binary heap (default — eager
-// cancellation, O(log n) in-place reschedule) or the hierarchical TimerWheel
-// (O(1) insert/cancel/re-arm; built for the timer-storm workloads where
-// RTO/delayed-ACK/persist/poll deadlines cluster). Both backends fire events
-// in the identical (when, seq) total order, so runs are bit-identical
-// across backends.
+// Ordering is the job of the ready queue, a hierarchical TimerWheel
+// (sim/scheduler.hpp) held by value: O(1) insert/cancel/re-arm, built for
+// the timer storms where RTO/delayed-ACK/persist/poll deadlines cluster,
+// and exact in the (when, seq) total order.
 //
 // Lifetime: an EventHandle (and any Timer) must not be used after its
 // Simulator is destroyed. Every component in this codebase owns a
@@ -27,10 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "tcplp/common/assert.hpp"
 #include "tcplp/common/slab_pool.hpp"
@@ -42,12 +36,6 @@
 namespace tcplp::sim {
 
 class Simulator;
-
-/// Per-simulation configuration: the RNG seed and the ready-queue backend.
-struct SimConfig {
-    std::uint64_t seed = 1;
-    SchedulerKind scheduler = SchedulerKind::kBinaryHeap;
-};
 
 /// Cancellable handle to a scheduled event. Copies share the same event:
 /// cancelling through any copy cancels it, and once the event fires (or is
@@ -84,9 +72,7 @@ struct SchedulerStats {
 
 class Simulator {
 public:
-    explicit Simulator(std::uint64_t seed = 1) : Simulator(SimConfig{seed, {}}) {}
-    explicit Simulator(const SimConfig& config)
-        : rng_(config.seed), sched_(makeScheduler(config.scheduler, pool_)) {
+    explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {
         // Frame-storage recycler for this simulation: every PacketBuffer
         // allocated while this simulator exists recycles through it (see
         // slab_pool.hpp for why buffers may safely outlive the pool).
@@ -99,7 +85,6 @@ public:
 
     Time now() const { return now_; }
     Rng& rng() { return rng_; }
-    SchedulerKind schedulerKind() const { return sched_->kind(); }
 
     /// Schedules `fn` to run `delay` microseconds from now.
     template <typename F>
@@ -116,15 +101,15 @@ public:
         rec.fn = SmallFn(std::forward<F>(fn));
         rec.when = when;
         rec.seq = nextSeq_++;
-        sched_->push(slot);
+        wheel_.push(slot);
         ++stats_.scheduled;
         return EventHandle(this, slot, rec.generation);
     }
 
     /// Moves a still-pending event to a new deadline without releasing its
-    /// record or callback — an in-place re-sort (O(log n) on the heap, O(1)
-    /// on the wheel). Returns false (and does nothing) if the handle's event
-    /// already fired or was cancelled.
+    /// record or callback — an O(1) in-place re-sort in the wheel. Returns
+    /// false (and does nothing) if the handle's event already fired or was
+    /// cancelled.
     bool reschedule(const EventHandle& handle, Time when) {
         TCPLP_ASSERT(when >= now_);
         if (handle.simulator_ != this || !slotPending(handle.slot_, handle.generation_)) {
@@ -133,7 +118,7 @@ public:
         detail::EventRecord& rec = pool_.record(handle.slot_);
         rec.when = when;
         rec.seq = nextSeq_++;  // re-armed events fire after existing same-time events
-        sched_->update(handle.slot_);
+        wheel_.update(handle.slot_);
         ++stats_.rescheduled;
         return true;
     }
@@ -141,7 +126,7 @@ public:
     /// Runs events until the queue drains or simulated time reaches `until`.
     void runUntil(Time until) {
         for (;;) {
-            const std::uint32_t slot = sched_->peekMin();
+            const std::uint32_t slot = wheel_.peekMin();
             if (slot == detail::kNoSlot || pool_.record(slot).when > until) break;
             fireMin(slot);
         }
@@ -153,14 +138,14 @@ public:
     void run(std::uint64_t maxEvents = UINT64_MAX) {
         std::uint64_t fired = 0;
         while (fired < maxEvents) {
-            const std::uint32_t slot = sched_->peekMin();
+            const std::uint32_t slot = wheel_.peekMin();
             if (slot == detail::kNoSlot) break;
             fireMin(slot);
             ++fired;
         }
     }
 
-    std::size_t pendingEvents() const { return sched_->size(); }
+    std::size_t pendingEvents() const { return wheel_.size(); }
     const SchedulerStats& stats() const {
         stats_.poolCapacity = pool_.capacity();
         return stats_;
@@ -178,9 +163,9 @@ public:
     /// while the owning nodes are still alive.
     void cancelAllPending() {
         for (;;) {
-            const std::uint32_t slot = sched_->peekMin();
+            const std::uint32_t slot = wheel_.peekMin();
             if (slot == detail::kNoSlot) break;
-            sched_->remove(slot);
+            wheel_.remove(slot);
             pool_.release(slot);
             ++stats_.cancelled;
         }
@@ -197,7 +182,7 @@ private:
 
     void cancelSlot(std::uint32_t slot, std::uint32_t generation) {
         if (!slotPending(slot, generation)) return;
-        sched_->remove(slot);
+        wheel_.remove(slot);
         pool_.release(slot);
         ++stats_.cancelled;
     }
@@ -210,9 +195,9 @@ private:
         // a callback that re-arms its own timer allocates a fresh event
         // instead of mutating a slot that is about to be recycled.
         SmallFn fn = std::move(rec.fn);
-        sched_->remove(slot);
+        wheel_.remove(slot);
         pool_.release(slot);
-        sched_->onTimeAdvance(now_);
+        wheel_.onTimeAdvance(now_);
         ++stats_.fired;
         fn();
     }
@@ -222,7 +207,7 @@ private:
     Rng rng_;
     mutable SchedulerStats stats_;
     detail::EventPool pool_;
-    std::unique_ptr<Scheduler> sched_;
+    TimerWheel wheel_{pool_};  // declared after pool_, which it references
     SlabPool framePool_;
 };
 

@@ -84,11 +84,9 @@ ScenarioDef smallBulkDef() {
 
 TEST(CampaignCanonical, TimingFieldListMatchesTheDocumentedConvention) {
     EXPECT_TRUE(isTimingField("wall_ms"));
-    EXPECT_TRUE(isTimingField("backend"));
     EXPECT_TRUE(isTimingField("cores"));
     EXPECT_TRUE(isTimingField("speedup"));
     EXPECT_TRUE(isTimingField("auto_speedup"));
-    EXPECT_TRUE(isTimingField("wheel_vs_heap_speedup"));
     EXPECT_TRUE(isTimingField("pooled_events_per_sec"));
     EXPECT_TRUE(isTimingField("legacy_ns_per_event"));
     EXPECT_TRUE(isTimingField("serial_wall_ms"));

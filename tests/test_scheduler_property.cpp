@@ -1,12 +1,15 @@
-// Randomized property test: HeapScheduler and TimerWheel implement the
-// exact same (when, scheduling-seq) total order.
+// Randomized property test: the TimerWheel ready queue fires in the exact
+// (when, scheduling-seq) total order.
 //
-// The scripted storm in tests/test_sim.cpp replays ONE handcrafted
-// schedule/cancel/reschedule sequence; this suite generates seeded random
-// operation sequences (10k ops each) against BOTH backends in lockstep —
-// insert, cancel, re-arm, and advance (fire the earliest pending events,
-// mirroring Simulator::fireMin's remove -> release -> onTimeAdvance order)
-// — and requires bit-identical firing logs at every advance.
+// The oracle is a std::multimap keyed by deadline alone. Equal keys keep
+// insertion order and every insert or re-arm appends, so iterating the
+// multimap yields the simulator's contract — earliest deadline first,
+// scheduling order among ties — with none of the wheel's ticks, levels or
+// cascades. Seeded random operation sequences (10k ops each) drive the wheel
+// and the oracle in lockstep — insert, cancel, re-arm, and advance (fire the
+// earliest pending events, mirroring Simulator::fireMin's remove -> release
+// -> onTimeAdvance order) — and every event the wheel fires must be the
+// oracle's front.
 //
 // On a mismatch the failing sequence is shrunk by prefix bisection: the
 // shortest failing prefix of the generated op list is located and reported
@@ -14,7 +17,7 @@
 // instead of a 10k-op haystack.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,7 +38,7 @@ struct Op {
 };
 
 /// Deadline mix spanning every wheel regime: same-tick, level 0/1, level 2+,
-/// and past-the-horizon overflow (the test_sim storm's distribution).
+/// and past-the-horizon overflow.
 Time randomDelay(Rng& rng) {
     switch (rng.uniformInt(4)) {
         case 0: return Time(rng.uniformInt(900));
@@ -71,112 +74,119 @@ std::vector<Op> generateOps(std::uint64_t seed, std::size_t count) {
     return ops;
 }
 
-/// One backend + pool + the live-slot set, driven by the shared op list.
+/// The wheel under test, its pool, the oracle and the live-slot set, driven
+/// in lockstep by the op list.
 struct Harness {
     sim::detail::EventPool pool;
-    std::unique_ptr<Scheduler> sched;
-    std::vector<std::uint32_t> live;  // insertion order (stable across backends)
+    TimerWheel wheel{pool};
+    std::multimap<Time, std::uint32_t> oracle;  // deadline -> slot
+    std::vector<std::uint32_t> live;            // insertion order
     std::uint64_t nextSeq = 0;
+    std::uint64_t fired = 0;
     Time now = 0;
 
-    explicit Harness(SchedulerKind kind) : sched(makeScheduler(kind, pool)) {}
-
-    void insert(Time delay) {
-        const std::uint32_t slot = pool.alloc();
+    /// Stamps `slot` with a deadline `delay` from now and the next seq, and
+    /// appends it to the oracle (after any equal-deadline entries).
+    void stamp(std::uint32_t slot, Time delay) {
         sim::detail::EventRecord& rec = pool.record(slot);
         rec.when = now + delay;
         rec.seq = nextSeq++;
-        sched->push(slot);
-        live.push_back(slot);
+        oracle.emplace(rec.when, slot);
     }
 
-    void eraseLive(std::size_t index) { live.erase(live.begin() + long(index)); }
+    void forget(std::uint32_t slot) {
+        const auto [first, last] = oracle.equal_range(pool.record(slot).when);
+        for (auto it = first; it != last; ++it) {
+            if (it->second == slot) {
+                oracle.erase(it);
+                return;
+            }
+        }
+        ADD_FAILURE() << "slot " << slot << " missing from the oracle";
+    }
+
+    void insert(Time delay) {
+        const std::uint32_t slot = pool.alloc();
+        stamp(slot, delay);
+        wheel.push(slot);
+        live.push_back(slot);
+    }
 
     void cancel(std::size_t pick) {
         if (live.empty()) return;
         const std::size_t index = pick % live.size();
         const std::uint32_t slot = live[index];
-        sched->remove(slot);
+        forget(slot);
+        wheel.remove(slot);
         pool.release(slot);
-        eraseLive(index);
+        live.erase(live.begin() + long(index));
     }
 
     void rearm(std::size_t pick, Time delay) {
         if (live.empty()) return;
         const std::uint32_t slot = live[pick % live.size()];
-        sim::detail::EventRecord& rec = pool.record(slot);
-        rec.when = now + delay;
-        rec.seq = nextSeq++;  // re-armed events fire after same-time peers
-        sched->update(slot);
+        forget(slot);
+        stamp(slot, delay);  // re-armed events fire after same-time peers
+        wheel.update(slot);
     }
 
     /// Fires up to `count` earliest events, mirroring Simulator::fireMin:
-    /// remove + release the min, then advance the backend's time base.
-    /// Returns the (when, seq) firing log.
-    std::vector<std::pair<Time, std::uint64_t>> advance(int count) {
-        std::vector<std::pair<Time, std::uint64_t>> log;
+    /// remove + release the min, then advance the wheel's time base. Returns
+    /// a mismatch description, or nullopt if the wheel matched the oracle.
+    std::optional<std::string> advance(int count) {
         for (int i = 0; i < count; ++i) {
-            const std::uint32_t slot = sched->peekMin();
-            if (slot == sim::detail::kNoSlot) break;
-            const sim::detail::EventRecord& rec = pool.record(slot);
-            now = rec.when;
-            log.emplace_back(rec.when, rec.seq);
-            sched->remove(slot);
-            pool.release(slot);
-            sched->onTimeAdvance(now);
-            for (std::size_t k = 0; k < live.size(); ++k) {
-                if (live[k] == slot) {
-                    eraseLive(k);
-                    break;
-                }
+            const std::uint32_t slot = wheel.peekMin();
+            if (slot == sim::detail::kNoSlot) {
+                if (oracle.empty()) break;
+                return "wheel empty with " + std::to_string(oracle.size()) + " oracle events";
             }
+            if (oracle.empty()) return std::string("wheel fired with the oracle empty");
+            const auto front = oracle.begin();
+            if (front->second != slot) {
+                const sim::detail::EventRecord& got = pool.record(slot);
+                const sim::detail::EventRecord& want = pool.record(front->second);
+                return "wheel fired (when " + std::to_string(got.when) + ", seq " +
+                       std::to_string(got.seq) + "), oracle expected (when " +
+                       std::to_string(want.when) + ", seq " + std::to_string(want.seq) + ")";
+            }
+            now = front->first;
+            oracle.erase(front);
+            wheel.remove(slot);
+            pool.release(slot);
+            wheel.onTimeAdvance(now);
+            ++fired;
+            std::erase(live, slot);
         }
-        return log;
+        if (wheel.size() != oracle.size()) {
+            return "pending counts diverged: wheel " + std::to_string(wheel.size()) +
+                   ", oracle " + std::to_string(oracle.size());
+        }
+        return std::nullopt;
     }
+
+    /// Fires everything still pending.
+    std::optional<std::string> drain() { return advance(int(oracle.size()) + 1); }
 };
 
-/// Replays `ops` against both backends in lockstep. Returns a mismatch
-/// description, or nullopt if the logs stayed bit-identical throughout.
+/// Replays `ops` against the wheel and the oracle. Returns a mismatch
+/// description, or nullopt if the wheel matched throughout.
 std::optional<std::string> replay(const std::vector<Op>& ops) {
-    Harness heap(SchedulerKind::kBinaryHeap);
-    Harness wheel(SchedulerKind::kTimerWheel);
+    Harness h;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const Op& op = ops[i];
         switch (op.kind) {
-            case Op::kInsert:
-                heap.insert(op.delay);
-                wheel.insert(op.delay);
-                break;
-            case Op::kCancel:
-                heap.cancel(op.pick);
-                wheel.cancel(op.pick);
-                break;
-            case Op::kRearm:
-                heap.rearm(op.pick, op.delay);
-                wheel.rearm(op.pick, op.delay);
-                break;
-            case Op::kAdvance: {
-                const auto a = heap.advance(op.fireCount);
-                const auto b = wheel.advance(op.fireCount);
-                if (a != b) {
-                    return "firing logs diverged at op " + std::to_string(i) +
-                           " (advance " + std::to_string(op.fireCount) + "): heap fired " +
-                           std::to_string(a.size()) + ", wheel fired " +
-                           std::to_string(b.size());
-                }
-                break;
-            }
+            case Op::kInsert: h.insert(op.delay); break;
+            case Op::kCancel: h.cancel(op.pick); break;
+            case Op::kRearm: h.rearm(op.pick, op.delay); break;
+            case Op::kAdvance: break;
         }
-        if (heap.sched->size() != wheel.sched->size()) {
-            return "pending-event counts diverged at op " + std::to_string(i) + ": heap " +
-                   std::to_string(heap.sched->size()) + ", wheel " +
-                   std::to_string(wheel.sched->size());
+        // advance(0) after a mutation only compares the pending counts.
+        const int fireCount = op.kind == Op::kAdvance ? op.fireCount : 0;
+        if (auto mismatch = h.advance(fireCount)) {
+            return "op " + std::to_string(i) + ": " + *mismatch;
         }
     }
-    // Drain: the remaining events must pop in the identical total order.
-    const auto a = heap.advance(int(heap.sched->size()));
-    const auto b = wheel.advance(int(wheel.sched->size()));
-    if (a != b) return "drain order diverged (" + std::to_string(a.size()) + " events)";
+    if (auto mismatch = h.drain()) return "drain: " + *mismatch;
     return std::nullopt;
 }
 
@@ -198,7 +208,7 @@ std::size_t shrinkFailingPrefix(const std::vector<Op>& ops) {
 
 }  // namespace
 
-TEST(SchedulerProperty, RandomOpSequencesFireIdenticallyOnBothBackends) {
+TEST(SchedulerProperty, RandomOpSequencesMatchTheOracle) {
     constexpr std::size_t kOpsPerSeed = 10000;
     for (std::uint64_t seed : {1ULL, 42ULL, 0xfeedULL}) {
         const std::vector<Op> ops = generateOps(seed, kOpsPerSeed);
@@ -245,26 +255,18 @@ TEST(SchedulerProperty, AdversarialClusteredDeadlines) {
     // entire order is carried by the scheduling seq — the regime where a
     // bucket-scan bug in the wheel would be invisible to throughput tests
     // but corrupt the replay order.
-    Harness heap(SchedulerKind::kBinaryHeap);
-    Harness wheel(SchedulerKind::kTimerWheel);
+    Harness h;
     Rng rng(99);
     for (int round = 0; round < 500; ++round) {
-        const Time delay = Time(1000 * (1 + rng.uniformInt(3)));
-        heap.insert(delay);
-        wheel.insert(delay);
-        if (round % 5 == 2) {
-            const std::size_t pick = std::size_t(rng.uniformInt(1 << 10));
-            heap.cancel(pick);
-            wheel.cancel(pick);
-        }
+        h.insert(Time(1000 * (1 + rng.uniformInt(3))));
+        if (round % 5 == 2) h.cancel(std::size_t(rng.uniformInt(1 << 10)));
         if (round % 7 == 3) {
-            const auto a = heap.advance(2);
-            const auto b = wheel.advance(2);
-            ASSERT_EQ(a, b) << "round " << round;
+            const auto mismatch = h.advance(2);
+            ASSERT_FALSE(mismatch.has_value()) << "round " << round << ": " << *mismatch;
         }
     }
-    const auto a = heap.advance(int(heap.sched->size()));
-    const auto b = wheel.advance(int(wheel.sched->size()));
-    EXPECT_EQ(a, b);
-    EXPECT_FALSE(a.empty());
+    const auto mismatch = h.drain();
+    EXPECT_FALSE(mismatch.has_value()) << *mismatch;
+    EXPECT_GT(h.fired, 0u);
+    EXPECT_EQ(h.wheel.size(), 0u);
 }

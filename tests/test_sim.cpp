@@ -5,8 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "tcplp/sim/simulator.hpp"
@@ -144,27 +142,16 @@ TEST(Simulator, RescheduleMovesDeadlineBothWays) {
     EXPECT_EQ(simulator.stats().rescheduled, 2u);
 }
 
-// --- Timer-storm suite, run against BOTH scheduler backends ----------------
+// --- Timer-storm suite over the timer-wheel ready queue --------------------
 //
-// The binary heap and the hierarchical timer wheel must implement the exact
-// same (when, scheduling-seq) total order: every test below runs once per
-// backend, and the cross-backend tests replay one scripted storm on each and
-// require bit-identical firing logs.
+// The wheel buckets deadlines by ~1 ms tick across four levels plus an
+// overflow list, yet must fire in the exact (when, scheduling-seq) total
+// order. The tests below drive it through the Simulator across bucket,
+// level and horizon boundaries; tests/test_scheduler_property.cpp checks the
+// same order against a std::multimap oracle on random op sequences.
 
-class SchedulerBackends : public ::testing::TestWithParam<SchedulerKind> {
-protected:
-    SimConfig config(std::uint64_t seed = 1) const { return SimConfig{seed, GetParam()}; }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    BothBackends, SchedulerBackends,
-    ::testing::Values(SchedulerKind::kBinaryHeap, SchedulerKind::kTimerWheel),
-    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-        return std::string(schedulerKindName(info.param));
-    });
-
-TEST_P(SchedulerBackends, RestartStormReusesOnePooledEvent) {
-    Simulator simulator(config());
+TEST(TimerWheel, RestartStormReusesOnePooledEvent) {
+    Simulator simulator;
     int fires = 0;
     Timer t(simulator, [&] { ++fires; });
     // A TCP RTO-style storm: re-arm thousands of times before expiry.
@@ -179,10 +166,10 @@ TEST_P(SchedulerBackends, RestartStormReusesOnePooledEvent) {
     EXPECT_EQ(fires, 1);
 }
 
-TEST_P(SchedulerBackends, ManyTimersRestartingStayDeterministic) {
+TEST(TimerWheel, ManyTimersRestartingStayDeterministic) {
     // Interleaved restart storms across many timers: firing order must stay
     // the (when, scheduling-seq) total order regardless of pool recycling.
-    Simulator simulator(config());
+    Simulator simulator;
     std::vector<int> order;
     std::vector<std::unique_ptr<Timer>> timers;
     for (int i = 0; i < 16; ++i) {
@@ -198,8 +185,8 @@ TEST_P(SchedulerBackends, ManyTimersRestartingStayDeterministic) {
     EXPECT_EQ(order, expect);
 }
 
-TEST_P(SchedulerBackends, RearmInsideOwnCallbackKeepsFiring) {
-    Simulator simulator(config());
+TEST(TimerWheel, RearmInsideOwnCallbackKeepsFiring) {
+    Simulator simulator;
     int fires = 0;
     Timer t(simulator, [&] {
         if (++fires < 5) t.start(10);
@@ -209,10 +196,10 @@ TEST_P(SchedulerBackends, RearmInsideOwnCallbackKeepsFiring) {
     EXPECT_EQ(fires, 5);
 }
 
-TEST_P(SchedulerBackends, CancelMidFlightSkipsExactlyTheCancelled) {
+TEST(TimerWheel, CancelMidFlightSkipsExactlyTheCancelled) {
     // Cancel from inside a running callback (the delayed-ACK-quash idiom):
     // event 2's callback cancels events 5 and 9 while 3..11 are pending.
-    Simulator simulator(config());
+    Simulator simulator;
     std::vector<int> order;
     std::vector<EventHandle> handles;
     for (int i = 0; i < 12; ++i) {
@@ -231,11 +218,11 @@ TEST_P(SchedulerBackends, CancelMidFlightSkipsExactlyTheCancelled) {
     EXPECT_EQ(simulator.stats().cancelled, 4u);
 }
 
-TEST_P(SchedulerBackends, RescheduleToEarlierSlotCrossesBuckets) {
+TEST(TimerWheel, RescheduleToEarlierSlotCrossesBuckets) {
     // Pull pending events backwards across wheel-bucket and wheel-level
     // boundaries: far-future events rescheduled to near deadlines (and one
     // near event pushed far out) must still fire in (when, seq) order.
-    Simulator simulator(config());
+    Simulator simulator;
     std::vector<int> order;
     EventHandle farA = simulator.schedule(2 * kMinute, [&] { order.push_back(1); });
     EventHandle farB = simulator.schedule(3 * kHour, [&] { order.push_back(2); });
@@ -249,12 +236,12 @@ TEST_P(SchedulerBackends, RescheduleToEarlierSlotCrossesBuckets) {
     EXPECT_EQ(simulator.stats().rescheduled, 3u);
 }
 
-TEST_P(SchedulerBackends, FarFutureOverflowDeadlines) {
+TEST(TimerWheel, FarFutureOverflowDeadlines) {
     // Deadlines past the wheel horizon (4 levels x 64 slots x ~1 ms tick
     // ~= 4.8 h) live on the overflow list and must cascade back in as
     // simulated time approaches them — including events scheduled mid-run
     // once the wheel base has advanced by days.
-    Simulator simulator(config());
+    Simulator simulator;
     std::vector<int> order;
     simulator.schedule(3 * 24 * kHour, [&] { order.push_back(5); });
     simulator.schedule(10 * kHour, [&] { order.push_back(3); });
@@ -268,11 +255,11 @@ TEST_P(SchedulerBackends, FarFutureOverflowDeadlines) {
     EXPECT_EQ(simulator.now(), 3 * 24 * kHour);
 }
 
-TEST_P(SchedulerBackends, SameTickOrderingIsExactMicrosecondOrder) {
+TEST(TimerWheel, SameTickOrderingIsExactMicrosecondOrder) {
     // Events inside one ~1 ms wheel tick (1024 us) still fire in exact
     // microsecond order, with scheduling seq breaking when-ties — the wheel
     // may bucket them together but must not coarsen the order.
-    Simulator simulator(config());
+    Simulator simulator;
     std::vector<int> order;
     simulator.schedule(900, [&] { order.push_back(3); });
     simulator.schedule(100, [&] { order.push_back(1); });
@@ -282,64 +269,6 @@ TEST_P(SchedulerBackends, SameTickOrderingIsExactMicrosecondOrder) {
     simulator.schedule(1030, [&] { order.push_back(6); });  // next tick
     simulator.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
-}
-
-namespace {
-
-/// Replays a deterministic pseudo-random storm of schedule / cancel /
-/// reschedule / nested-schedule operations and returns the firing log.
-std::vector<std::pair<Time, int>> runScriptedStorm(SchedulerKind kind) {
-    Simulator simulator(SimConfig{99, kind});
-    Rng script(0xfeedULL);  // drives the storm, independent of the sim RNG
-    std::vector<std::pair<Time, int>> log;
-    std::vector<EventHandle> handles;
-    int nextId = 0;
-
-    const auto randomDelay = [&script]() -> Time {
-        switch (script.uniformInt(4)) {
-            case 0: return Time(script.uniformInt(900));                  // same tick
-            case 1: return Time(script.uniformInt(60'000));               // level 0/1
-            case 2: return Time(script.uniformInt(30 * kMinute));         // level 2+
-            default: return Time(script.uniformInt(12 * kHour));          // overflow
-        }
-    };
-
-    for (int i = 0; i < 600; ++i) {
-        const int id = nextId++;
-        handles.push_back(simulator.schedule(randomDelay(), [&log, &simulator, id] {
-            log.emplace_back(simulator.now(), id);
-        }));
-    }
-    // Mutate: cancel some, reschedule others (earlier and later).
-    for (int i = 0; i < 300; ++i) {
-        EventHandle& h = handles[std::size_t(script.uniformInt(handles.size()))];
-        if (script.chance(0.4)) {
-            h.cancel();
-        } else {
-            simulator.reschedule(h, simulator.now() + randomDelay());
-        }
-    }
-    // A ticker that keeps scheduling new work while the storm drains.
-    std::function<void()> tick = [&] {
-        const int id = nextId++;
-        log.emplace_back(simulator.now(), -1);
-        simulator.schedule(randomDelay(), [&log, &simulator, id] {
-            log.emplace_back(simulator.now(), id);
-        });
-        if (log.size() < 900) simulator.schedule(kSecond + Time(script.uniformInt(kMinute)), tick);
-    };
-    simulator.schedule(10 * kMillisecond, tick);
-    simulator.run(5000);
-    return log;
-}
-
-}  // namespace
-
-TEST(SchedulerEquivalence, WheelAndHeapFireIdenticalStormLogs) {
-    const auto heap = runScriptedStorm(SchedulerKind::kBinaryHeap);
-    const auto wheel = runScriptedStorm(SchedulerKind::kTimerWheel);
-    ASSERT_FALSE(heap.empty());
-    EXPECT_EQ(heap, wheel);
 }
 
 TEST(SmallFn, InlineCapturesAvoidHeap) {
