@@ -16,9 +16,9 @@ ScenarioDef def() {
     ScenarioDef d;
     d.name = "grid200_dense";
     d.title = "Dense 200-node grid: multi-flow TCP over the spatial channel index";
-    // Shared preset (also behind bench_city_scale's engine A/B): six
-    // saturating mixed-direction flows spread across the grid, so goodput
-    // and fairness measure the medium, not the byte budget.
+    // Shared preset (scenario::grid200DenseSpec): six saturating
+    // mixed-direction flows spread across the grid, so goodput and fairness
+    // measure the medium, not the byte budget.
     d.base = scenario::grid200DenseSpec();
     // Independent per-point RNG streams (sim::Rng::deriveStream): grid
     // points are their own replications, not paper seed lists.

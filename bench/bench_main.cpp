@@ -9,8 +9,8 @@
 //
 //   --list      print registered scenarios and exit
 //   --filter    run only scenarios whose name contains SUBSTR
-//   --jobs N    shard each sweep across N worker processes (default 1, or
-//               $TCPLP_BENCH_JOBS); merged output is byte-identical to N=1
+//   --jobs N    shard each sweep across N worker processes (default 1);
+//               merged output is byte-identical to N=1
 //   --json      emit one JSON object per run point on stdout (suppresses the
 //               human-readable paper tables); CI's sweep smoke parses this
 //   --seeds     override every scenario's seed list
@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
     bool list = false, json = false, campaign = false;
     std::string filter;
     SweepOptions options;
-    if (const char* env = std::getenv("TCPLP_BENCH_JOBS")) options.jobs = std::atoi(env);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

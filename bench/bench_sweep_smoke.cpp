@@ -4,8 +4,8 @@
 //
 //   tcplp_bench --filter sweep_smoke --jobs 4 --json
 //
-// and fails on any worker nonzero exit or malformed JSON line; the
-// determinism tests and bench_sweep_scaling reuse the same definition.
+// and fails on any worker nonzero exit or malformed JSON line; the golden
+// corpus pins its rows.
 #include "bench/driver.hpp"
 
 namespace {

@@ -8,12 +8,11 @@
 //   tcplp_campaign [--list] [--filter SUBSTR] [--subset golden] [--jobs N]
 //                  [--out DIR] [--resume] [--golden DIR] [--check]
 //                  [--present-golden DIR] [--seeds a,b,c] [--quiet]
-//                  [--wall-out FILE] [--wall-check FILE] [--wall-tolerance T]
 //
 //   --filter    run only scenarios whose name contains SUBSTR
 //   --subset    'golden': the curated fast corpus subset (scenario::goldenSubset)
-//   --jobs N    worker processes across the whole campaign (default 1, or
-//               $TCPLP_BENCH_JOBS); output is byte-identical to N=1
+//   --jobs N    worker processes across the whole campaign (default 1);
+//               output is byte-identical to N=1
 //   --out DIR   write per-scenario artifacts + a resume manifest to DIR
 //   --resume    skip points already recorded in DIR's manifest
 //   --golden D  write the golden corpus to D — or, with --check, diff
@@ -25,17 +24,11 @@
 //               D/<name>.txt — or diff against the snapshots with --check
 //   --seeds     override every scenario's seed list
 //   --quiet     suppress per-scenario progress on stderr
-//   --wall-out F      record the campaign's total wall time to F (JSON)
-//   --wall-check F    fail (exit 1) if this run's wall time drifts more than
-//                     the tolerance from the recording in F
-//   --wall-tolerance T  relative drift budget for --wall-check (default 0.2)
 //
 // CI runs `tcplp_campaign --subset golden --golden golden --check` as the
-// cross-refactor determinism oracle, and a same-settings --wall-out /
-// --wall-check pair as a coarse perf tripwire; see docs/SCENARIOS.md.
+// cross-refactor determinism oracle; see docs/SCENARIOS.md.
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,8 +59,7 @@ int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--list] [--filter SUBSTR] [--subset golden] [--jobs N]\n"
                  "          [--out DIR] [--resume] [--golden DIR] [--check]\n"
-                 "          [--present-golden DIR] [--seeds a,b,c] [--quiet]\n"
-                 "          [--wall-out FILE] [--wall-check FILE] [--wall-tolerance T]\n",
+                 "          [--present-golden DIR] [--seeds a,b,c] [--quiet]\n",
                  argv0);
     return 2;
 }
@@ -127,21 +119,6 @@ std::string diffPresentation(const std::string& path, const std::string& actual)
     return "presenter output diverged at line " + std::to_string(line);
 }
 
-/// {"campaign_wall_ms": N} — the recorded total campaign wall time.
-bool readWallRecord(const std::string& path, double& wallMs) {
-    std::ifstream in(path);
-    if (!in) return false;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    const std::size_t key = text.find("\"campaign_wall_ms\"");
-    if (key == std::string::npos) return false;
-    const std::size_t colon = text.find(':', key);
-    if (colon == std::string::npos) return false;
-    wallMs = std::strtod(text.c_str() + colon + 1, nullptr);
-    return wallMs > 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -149,11 +126,8 @@ int main(int argc, char** argv) {
 
     bool list = false, check = false, quiet = false;
     std::string filter, subset, goldenDir, presentDir;
-    std::string wallOut, wallCheck;
-    double wallTolerance = 0.2;
     CampaignOptions options;
     options.progress = true;
-    if (const char* env = std::getenv("TCPLP_BENCH_JOBS")) options.jobs = std::atoi(env);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -183,16 +157,6 @@ int main(int argc, char** argv) {
             goldenDir = v;
         } else if (const char* v = valueOf("--present-golden")) {
             presentDir = v;
-        } else if (const char* v = valueOf("--wall-out")) {
-            wallOut = v;
-        } else if (const char* v = valueOf("--wall-check")) {
-            wallCheck = v;
-        } else if (const char* v = valueOf("--wall-tolerance")) {
-            wallTolerance = std::strtod(v, nullptr);
-            if (wallTolerance <= 0.0) {
-                std::fprintf(stderr, "bad --wall-tolerance: %s\n", v);
-                return 2;
-            }
         } else if (const char* v = valueOf("--seeds")) {
             options.seedOverride.clear();
             if (!parseSeedList(v, options.seedOverride)) {
@@ -256,11 +220,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    const auto wallStart = std::chrono::steady_clock::now();
     const CampaignResult result = runCampaign(defs, options);
-    const double wallMs = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - wallStart)
-                              .count();
     if (!result.ok) {
         std::fprintf(stderr, "campaign failed: %s\n", result.error.c_str());
         for (const ShardFailure& failure : result.failures)
@@ -270,36 +230,6 @@ int main(int argc, char** argv) {
     if (!quiet) {
         std::fprintf(stderr, "[campaign] %zu points run, %zu resumed, %zu scenarios\n",
                      result.pointsRun, result.pointsResumed, result.scenarios.size());
-    }
-
-    // --- Wall-clock tracker (coarse same-machine perf tripwire) ------------
-    if (!wallOut.empty()) {
-        std::ofstream out(wallOut, std::ios::trunc);
-        if (!out) {
-            std::fprintf(stderr, "cannot write wall record '%s'\n", wallOut.c_str());
-            return 1;
-        }
-        out << "{\"campaign_wall_ms\": " << std::int64_t(wallMs) << "}\n";
-        if (!quiet)
-            std::fprintf(stderr, "[campaign] wall %.0f ms recorded to %s\n", wallMs,
-                         wallOut.c_str());
-    }
-    if (!wallCheck.empty()) {
-        double recordedMs = 0.0;
-        if (!readWallRecord(wallCheck, recordedMs)) {
-            std::fprintf(stderr, "cannot read wall record '%s'\n", wallCheck.c_str());
-            return 1;
-        }
-        const double drift = wallMs / recordedMs - 1.0;
-        std::fprintf(stderr, "[campaign] wall %.0f ms vs recorded %.0f ms (%+.0f%%)\n",
-                     wallMs, recordedMs, drift * 100.0);
-        if (drift > wallTolerance || drift < -wallTolerance) {
-            std::fprintf(stderr,
-                         "[campaign] WALL DRIFT beyond +/-%.0f%% — perf regression "
-                         "or machine noise; investigate before re-recording\n",
-                         wallTolerance * 100.0);
-            return 1;
-        }
     }
 
     // --- Presenter snapshots ----------------------------------------------

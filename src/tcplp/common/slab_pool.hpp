@@ -8,8 +8,8 @@
 // per-class LIFO free list instead of going back to the heap. Steady-state
 // forwarding then recycles the same handful of blocks forever: after the
 // first few datagrams warm the lists, the datapath performs zero heap
-// allocations per frame (the bench_city_scale driver and the
-// AllocCounting test pin this).
+// allocations per frame (the tcplp_steady_alloc tests pin this on a 3-hop
+// line and on the city grid).
 //
 // ## Activation model (why blocks do not remember their pool)
 //

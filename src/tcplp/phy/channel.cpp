@@ -22,13 +22,8 @@ void Channel::insertIntoGrid(Radio* radio, CellKey key) {
 }
 
 void Channel::addRadio(Radio* radio) {
-    auto it = std::lower_bound(
-        radiosById_.begin(), radiosById_.end(), radio,
-        [](const Radio* a, const Radio* b) { return a->id() < b->id(); });
-    radiosById_.insert(it, radio);
     ++gridEpoch_;
     insertIntoGrid(radio, cellOf(radio->position()));
-    resolvedMode_ = resolveMode();
 }
 
 void Channel::radioMoved(Radio* radio, Position oldPos) {
@@ -94,17 +89,9 @@ const std::vector<Radio*>& Channel::neighborsOf(Radio* transmitter) {
 
 template <typename Fn>
 void Channel::forEachCandidate(Radio* transmitter, Fn&& fn) {
-    if (effectiveMode() == DeliveryMode::kSpatialIndex) {
-        for (Radio* r : neighborsOf(transmitter)) {
-            ++channelStats_.listenerVisits;
-            fn(r);
-        }
-    } else {
-        for (Radio* r : radiosById_) {
-            if (r == transmitter) continue;
-            ++channelStats_.listenerVisits;
-            fn(r);
-        }
+    for (Radio* r : neighborsOf(transmitter)) {
+        ++channelStats_.listenerVisits;
+        fn(r);
     }
 }
 
@@ -120,17 +107,6 @@ bool Channel::inRange(const Radio* a, const Radio* b) const {
 }
 
 bool Channel::clearAt(const Radio* listener) const {
-    // Mode check hoisted out of the loop (and the listener's cell computed
-    // only when the spatial reject will use it): CCA runs once per CSMA
-    // attempt, and the per-transmission recompute showed up as pure
-    // overhead on small-n auto runs that resolve to the linear scan.
-    if (resolvedMode_ != DeliveryMode::kSpatialIndex) {
-        for (const Transmission& t : active_) {
-            if (t.transmitter == listener) continue;
-            if (inRange(listener, t.transmitter)) return false;
-        }
-        return true;
-    }
     const CellKey lc = cellOf(listener->position());
     for (const Transmission& t : active_) {
         if (t.transmitter == listener) continue;
@@ -208,12 +184,6 @@ void Channel::startTransmission(Radio* transmitter, const Frame& frame) {
         if (inRange(r, transmitter)) r->airStarted(txId);
     });
 
-    if (effectiveMode() == DeliveryMode::kLinearScan) {
-        // Frozen seed behavior: one delivery event per transmission.
-        simulator_.schedule(air, [this, txId] { deliverOne(txId); });
-        return;
-    }
-
     // Coalesce into the pending batch for this end tick, or open one.
     for (Batch& b : batches_) {
         if (b.end == end) {
@@ -257,14 +227,6 @@ void Channel::deliverTransmission(const Transmission& tx) {
     });
 }
 
-void Channel::deliverOne(std::uint64_t txId) {
-    ++channelStats_.deliveryEvents;
-    // Remove from the active list first so CCA during delivery callbacks
-    // sees the carrier down.
-    const Transmission tx = retireActive(txId);
-    deliverTransmission(tx);
-}
-
 void Channel::deliverBatch(sim::Time end) {
     ++channelStats_.deliveryEvents;
     std::vector<std::uint64_t> txIds;
@@ -287,7 +249,7 @@ void Channel::deliverBatch(sim::Time end) {
     batchPool_.push_back(std::move(txIds));
 
     // Deliver in txId (= start) order; listeners in ascending NodeId order,
-    // so the per-listener RNG draws replay identically in both modes.
+    // so the per-listener RNG draws replay identically run to run.
     for (const Transmission& tx : deliverScratch_) deliverTransmission(tx);
     deliverScratch_.clear();
 }

@@ -29,23 +29,11 @@
 //    sorted by NodeId) are cached and invalidated by a global epoch that
 //    bumps whenever grid membership changes. Candidate sets still require
 //    the exact inRange() test at use; the cache only bounds who is examined.
-//  * Delivery iterates listeners in ascending NodeId order in BOTH delivery
-//    modes, so the RNG draw sequence (one Bernoulli draw per in-range
-//    listener) is identical between the spatial index and the linear scan —
-//    and reproducible run to run. This is what keeps the figure benches
-//    byte-identical across the indexing rework.
-//  * Caveat on exact linear-vs-indexed replay: a batch fires at the FIRST
-//    member's position in the same-tick event order, while the seed fired
-//    each transmission's delivery at its own position. A third event
-//    scheduled between those positions at exactly that tick (e.g. a CCA
-//    check) could therefore observe a later batch member's carrier already
-//    down in indexed mode. None of the in-tree workloads can hit this
-//    window — the equivalence suites pre-schedule every transmission (their
-//    event seqs all precede any delivery seq) and bench_channel's slotted
-//    starts (≡0 mod 320 us) never share a tick with carrier ends (≡160 mod
-//    320 us) — and the production mode is verified byte-identical against
-//    the seed on the figure benches, but new mode-comparison workloads must
-//    respect it.
+//  * Delivery iterates listeners in ascending NodeId order, so the RNG draw
+//    sequence (one Bernoulli draw per in-range listener) is exactly the one
+//    a brute-force scan over every radio in NodeId order would make — and
+//    reproducible run to run. tests/test_channel_equivalence.cpp checks the
+//    index against such a scan on dense random topologies.
 //
 // ## Batched delivery
 //
@@ -76,8 +64,8 @@ struct Position {
     double y = 0.0;
 };
 
-/// Counters exposing how much work the medium performs per frame; the
-/// channel bench uses these to show O(all-radios) vs O(neighborhood).
+/// Counters exposing how much work the medium performs per frame: listener
+/// visits grow with the 3x3 neighborhood, not with the number of radios.
 struct ChannelStats {
     std::uint64_t deliveryEvents = 0;   // pooled end-of-air events fired
     std::uint64_t listenerVisits = 0;   // candidate radios examined
@@ -90,20 +78,6 @@ struct ChannelStats {
 
 class Channel {
 public:
-    /// kSpatialIndex is the indexed path; kLinearScan is the frozen seed
-    /// reference the equivalence tests and the channel bench compare
-    /// against: every radio examined per frame AND one delivery event per
-    /// transmission (no batching). kAuto — the production default — picks
-    /// per operation: linear scan below kAutoLinearThreshold radios (where
-    /// grid upkeep ≈ the scan it saves, e.g. the 15-node office runs),
-    /// spatial index above it. The two paths replay the identical RNG
-    /// sequence, so the switch point is a pure perf decision and may even
-    /// move mid-run as radios join.
-    enum class DeliveryMode : std::uint8_t { kSpatialIndex, kLinearScan, kAuto };
-
-    /// Below this many radios kAuto stays on the linear scan.
-    static constexpr std::size_t kAutoLinearThreshold = 20;
-
     explicit Channel(sim::Simulator& simulator, double range = 12.0)
         : simulator_(simulator), range_(range) {}
 
@@ -123,17 +97,6 @@ public:
                           1e6 / bitsPerSecond_;
         return std::max<sim::Time>(1, sim::Time(us));
     }
-
-    void setDeliveryMode(DeliveryMode mode) {
-        mode_ = mode;
-        resolvedMode_ = resolveMode();
-    }
-    DeliveryMode deliveryMode() const { return mode_; }
-    /// The mode kAuto resolves to right now (itself otherwise). Cached in a
-    /// member — radios are only ever added, so it can change only inside
-    /// addRadio()/setDeliveryMode(); recomputing it per active transmission
-    /// in clearAt was measurable overhead on small-n auto runs.
-    DeliveryMode effectiveMode() const { return resolvedMode_; }
 
     void addRadio(Radio* radio);
     /// Re-files `radio` under its new position (called by Radio::setPosition
@@ -247,20 +210,14 @@ private:
 
     CellKey cellOf(Position p) const;
     void insertIntoGrid(Radio* radio, CellKey key);
-    DeliveryMode resolveMode() const {
-        if (mode_ != DeliveryMode::kAuto) return mode_;
-        return radiosById_.size() < kAutoLinearThreshold ? DeliveryMode::kLinearScan
-                                                         : DeliveryMode::kSpatialIndex;
-    }
     /// Epoch of the cell at `key` (0 when the grid has no such cell).
     std::uint64_t cellEpoch(CellKey key) const {
         const auto it = grid_.find(key);
         return it == grid_.end() ? 0 : it->second.epoch;
     }
     const std::vector<Radio*>& neighborsOf(Radio* transmitter);
-    /// Calls fn(listener) for each candidate in ascending NodeId order;
-    /// callers still apply inRange(). Spatial mode visits the cached 3x3
-    /// neighborhood, linear mode every other radio.
+    /// Calls fn(listener) for each radio in the transmitter's cached 3x3
+    /// neighborhood, in ascending NodeId order; callers still apply inRange().
     template <typename Fn>
     void forEachCandidate(Radio* transmitter, Fn&& fn);
 
@@ -269,17 +226,11 @@ private:
     Transmission retireActive(std::uint64_t txId);
     void deliverTransmission(const Transmission& tx);
     void deliverBatch(sim::Time end);
-    void deliverOne(std::uint64_t txId);
 
     sim::Simulator& simulator_;
     double range_;
     double bitsPerSecond_ = kBitsPerSecond;
-    DeliveryMode mode_ = DeliveryMode::kAuto;
-    // What kAuto currently resolves to (kAuto itself never stored here);
-    // updated by addRadio()/setDeliveryMode(), read on every CCA/delivery.
-    DeliveryMode resolvedMode_ = DeliveryMode::kLinearScan;
     double defaultLoss_ = 0.0;
-    std::vector<Radio*> radiosById_;  // all radios, ascending NodeId
     std::unordered_map<CellKey, Cell, CellKeyHash> grid_;
     std::uint64_t gridEpoch_ = 1;
     std::unordered_map<const Radio*, NeighborCache> neighborCache_;

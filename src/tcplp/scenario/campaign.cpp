@@ -248,12 +248,10 @@ constexpr GoldenEntry kGoldenEntries[] = {
     {"lossy_line_cc_shootout", nullptr},
     {"city_scale",
      +[](ScenarioDef& d) {
-         // The full scenario is a 1,024-node grid plus a legacy-engine
-         // comparison sweep; the corpus pins a 120-node, 15-second run of
-         // the current engine only — same code paths (slab pool, batched
+         // The full scenario is a 1,024-node grid; the corpus pins a
+         // 120-node, 15-second run — same code paths (slab pool, batched
          // delivery, datapath counter rows), CI-sized wall cost.
          d.base = cityScaleSpec(15 * sim::kSecond, 120);
-         d.axes = {{"config", {0}}};
      }},
     // High-BDP frontier scenarios: pin RFC 7323 negotiation, shift-aware
     // window codec, receive-buffer autotuning, the ESP32-class link preset

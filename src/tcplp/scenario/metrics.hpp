@@ -2,7 +2,7 @@
 //
 // Every run point of every scenario produces one MetricRow — an ordered list
 // of (key, value) pairs — and every consumer reads the same rendering: the
-// per-figure presenters, the BENCH_*.json perf trackers, and the CI sweep
+// per-figure presenters, the campaign's golden corpus, and the CI sweep
 // smoke all see exactly one JSON object per line, keys in insertion order.
 // The 23 bench binaries used to hand-roll this formatting ad hoc; this is
 // the one shared implementation.

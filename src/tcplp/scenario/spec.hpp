@@ -86,14 +86,6 @@ struct TopologySpec {
     /// cuts_skipped counters). Off by default so legacy rows — and their
     /// golden artifacts — are unchanged (same pattern as selfHealing).
     bool ccMetrics = false;
-    /// Run on the pre-slab/pre-batching engine: linear-scan channel
-    /// delivery (one event per transmission) and no frame-storage pooling.
-    /// Both switches are RNG-neutral — listeners are visited in ascending
-    /// NodeId order in every delivery mode and the pool never draws — so a
-    /// legacy run replays the identical byte stream; only the wall clock
-    /// (and the datapath counters) differ. The city_scale bench sweeps this
-    /// to report the engine speedup.
-    bool legacyDatapath = false;
     /// Radio-link class (air rate, CSMA slot timings, frame bus, MAC
     /// payload budget). k802154 keeps every legacy byte stream.
     LinkPreset linkPreset = LinkPreset::k802154;

@@ -238,13 +238,6 @@ std::unique_ptr<harness::Testbed> buildTestbed(const TopologySpec& t,
         case TopologyKind::kPipe:
             TCPLP_ASSERT(false && "topology built by its workload runner");
     }
-    if (tb != nullptr && t.legacyDatapath) {
-        // Pre-PR engine, for A/B speedup rows: seed-era linear-scan delivery
-        // and every frame allocation straight from the heap. RNG-neutral —
-        // see TopologySpec::legacyDatapath.
-        tb->channel().setDeliveryMode(phy::Channel::DeliveryMode::kLinearScan);
-        tb->simulator().framePool().uninstall();
-    }
     return tb;
 }
 

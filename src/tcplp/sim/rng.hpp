@@ -67,8 +67,8 @@ public:
 
     /// Order-sensitive digest of the generator state. Two simulations that
     /// start from the same seed have equal digests iff they consumed the
-    /// same number of draws — the channel-equivalence tests use this to
-    /// prove the spatial index replays the linear scan's RNG sequence.
+    /// same number of draws — a cheap fingerprint of a run's draw sequence
+    /// (the `rng_digest` row key and the golden corpus pin it).
     std::uint64_t stateDigest() const {
         return state_[0] ^ rotl(state_[1], 13) ^ rotl(state_[2], 29) ^ rotl(state_[3], 47);
     }

@@ -10,8 +10,7 @@
 //     every strategy, and the cc knob changes the simulation it names.
 //
 //  3. Acceptance: on the lossy-line shootout's 5% i.i.d. loss point, CERL
-//     delivers strictly higher goodput than stock NewReno — the same gate
-//     CI enforces on BENCH_cc.json.
+//     delivers at least 1.1x stock NewReno's goodput.
 #include <gtest/gtest.h>
 
 #include "tcplp/scenario/metrics.hpp"
@@ -126,11 +125,13 @@ TEST(CcShootout, TheCcKnobNamesThreeDistinctSimulations) {
 }
 
 TEST(CcShootout, CerlBeatsNewRenoAtTheNoiseLossGatePoint) {
-    // The CI acceptance gate on BENCH_cc.json, pinned in-tree: at 5% i.i.d.
-    // link loss, loss differentiation must buy measurable goodput.
+    // At 5% i.i.d. link loss, loss differentiation must buy measurable
+    // goodput: >= 1.1x NewReno. The golden lossy_line_cc_shootout rows read
+    // 4.122 vs 2.924 kb/s (1.41x); the margin absorbs retunes, not noise —
+    // the run is deterministic.
     const MetricRow reno = runScenario(lossyLineSpec(tcp::CcKind::kNewReno, 0.05), 7);
     const MetricRow cerl = runScenario(lossyLineSpec(tcp::CcKind::kCerl, 0.05), 7);
-    EXPECT_GT(cerl.number("goodput_kbps"), 1.05 * reno.number("goodput_kbps"));
+    EXPECT_GE(cerl.number("goodput_kbps"), 1.1 * reno.number("goodput_kbps"));
     // The mechanism, not just the outcome: CERL skipped cuts NewReno took.
     EXPECT_GT(cerl.number("cuts_skipped"), 0.0);
     EXPECT_LT(cerl.number("loss_cuts"), reno.number("loss_cuts"));

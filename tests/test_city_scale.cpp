@@ -77,27 +77,9 @@ TEST(CityScale, DatapathCounterRowKeys) {
     EXPECT_LE(row.number("neighbor_rebuilds"), 96.0);
 }
 
-TEST(CityScale, LegacyDatapathReplaysIdenticalByteStream) {
-    // The pre-PR engine switches (linear-scan delivery, no pooling) are
-    // pure perf knobs: the behavioral row — goodput, frames, RNG digest —
-    // must be unchanged; only the datapath counters may differ.
-    ScenarioSpec current = cityScaleSpec(5 * sim::kSecond, 64);
-    ScenarioSpec legacy = current;
-    legacy.topology.legacyDatapath = true;
-    const MetricRow a = runScenario(current, 1);
-    const MetricRow b = runScenario(legacy, 1);
-    EXPECT_EQ(rngDigestOf(a), rngDigestOf(b));
-    EXPECT_EQ(a.number("frames_tx"), b.number("frames_tx"));
-    EXPECT_EQ(a.number("aggregate_kbps"), b.number("aggregate_kbps"));
-    // And the counters prove the switches took effect.
-    EXPECT_GT(a.number("pool_recycled"), 0.0);
-    EXPECT_EQ(b.number("pool_recycled"), 0.0);
-}
-
 TEST(ChannelEpoch, RevalidationSkipsRebuildWhenWindowUnchanged) {
     sim::Simulator simulator(7);
     phy::Channel channel(simulator, 12.0);
-    channel.setDeliveryMode(phy::Channel::DeliveryMode::kSpatialIndex);
     std::vector<std::unique_ptr<phy::Radio>> radios;
     auto add = [&](phy::NodeId id, double x, double y) {
         radios.push_back(

@@ -427,25 +427,6 @@ TEST(ScenarioTopology, MultiFlowRunsMixedDirectionsOnTheOfficeTree) {
     EXPECT_LE(r.jainFairness, 1.0);
 }
 
-// --- Adaptive channel mode -------------------------------------------------
-
-TEST(ScenarioChannel, AutoModeFlipsAtTheRadioThreshold) {
-    sim::Simulator simulator;
-    phy::Channel channel(simulator, 12.0);
-    EXPECT_EQ(channel.deliveryMode(), phy::Channel::DeliveryMode::kAuto);
-    EXPECT_EQ(channel.effectiveMode(), phy::Channel::DeliveryMode::kLinearScan);
-
-    std::vector<std::unique_ptr<phy::Radio>> radios;
-    for (std::size_t i = 0; i < phy::Channel::kAutoLinearThreshold; ++i) {
-        radios.push_back(std::make_unique<phy::Radio>(
-            simulator, channel, phy::NodeId(i + 1), phy::Position{double(i), 0.0}));
-        const bool belowThreshold = radios.size() < phy::Channel::kAutoLinearThreshold;
-        EXPECT_EQ(channel.effectiveMode(),
-                  belowThreshold ? phy::Channel::DeliveryMode::kLinearScan
-                                 : phy::Channel::DeliveryMode::kSpatialIndex);
-    }
-}
-
 // --- Registry ---------------------------------------------------------------
 
 TEST(ScenarioRegistry, AddAndFind) {

@@ -5,8 +5,9 @@
 // the simulator serves frames, segments and events from recycled storage —
 // approximately zero heap allocations per delivered frame — and the two
 // heap-fallback escape hatches (SmallFn closures, PacketBuffer::prepend)
-// stay cold. CMake keeps this TU out of the tcplp_tests glob and links it
-// as `tcplp_steady_alloc`.
+// stay cold — on a 3-hop bulk line and on the golden corpus's 120-node city
+// grid. CMake keeps this TU out of the tcplp_tests glob and links it as
+// `tcplp_steady_alloc`.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -70,6 +71,37 @@ struct SteadyProbe {
     }
 };
 
+/// Runs `spec` with the probe on its delivery tap (window opens at
+/// `warmup`) and checks the steady-state bounds: < 0.05 heap allocations
+/// per delivered frame and no SmallFn heap fallbacks. `run` executes the
+/// spec; it returns false if the workload itself failed.
+template <typename Run>
+void expectSteadyStateAllocationFree(ScenarioSpec spec, sim::Time warmup,
+                                     std::uint64_t minFrames, Run run) {
+    auto probe = std::make_shared<SteadyProbe>();
+    probe->warmup = warmup;
+    spec.workload.deliveryTap = [probe](sim::Time now, phy::NodeId src, phy::NodeId,
+                                        std::size_t, bool) {
+        probe->onDelivery(now, src);
+    };
+
+    const std::uint64_t smallFn0 = sim::SmallFn::heapFallbacks();
+    ASSERT_TRUE(run(spec));
+
+    ASSERT_TRUE(probe->armed) << "run ended before the warmup window";
+    const std::uint64_t steadyFrames = probe->frames - probe->framesAtWarm;
+    const std::uint64_t steadyAllocs = probe->allocsLast - probe->allocsAtWarm;
+    ASSERT_GT(steadyFrames, minFrames);
+    const double perFrame = double(steadyAllocs) / double(steadyFrames);
+    EXPECT_LT(perFrame, 0.05) << steadyAllocs << " allocs over " << steadyFrames
+                              << " frames";
+
+    // Every event closure fit the scheduler's inline storage: the relay
+    // copy-on-writes these runs perform (prepend at forwarding nodes) are
+    // slab-served, which is exactly why allocs/frame stays ~0 above.
+    EXPECT_EQ(sim::SmallFn::heapFallbacks(), smallFn0);
+}
+
 }  // namespace
 
 TEST(SteadyAlloc, ThreeHopBulkRunsAllocationFree) {
@@ -80,30 +112,22 @@ TEST(SteadyAlloc, ThreeHopBulkRunsAllocationFree) {
     spec.topology.hops = 3;
     spec.workload.kind = WorkloadKind::kBulk;
     spec.workload.totalBytes = 200000;
+    expectSteadyStateAllocationFree(spec, 10 * sim::kSecond, 1000,
+                                    [](const ScenarioSpec& s) {
+                                        return runBulk(s, 1).contentOk;
+                                    });
+}
 
-    auto probe = std::make_shared<SteadyProbe>();
-    probe->warmup = 10 * sim::kSecond;
-    spec.workload.deliveryTap = [probe](sim::Time now, phy::NodeId src, phy::NodeId,
-                                        std::size_t, bool) {
-        probe->onDelivery(now, src);
-    };
+TEST(SteadyAlloc, CityGridRunsAllocationFree) {
+    if (!kCountingNew) GTEST_SKIP() << "allocation counting disabled under ASan";
 
-    const std::uint64_t smallFn0 = sim::SmallFn::heapFallbacks();
-    const BulkRunResult r = runBulk(spec, 1);
-
-    ASSERT_TRUE(r.contentOk);
-    ASSERT_TRUE(probe->armed) << "transfer ended before the warmup window";
-    const std::uint64_t steadyFrames = probe->frames - probe->framesAtWarm;
-    const std::uint64_t steadyAllocs = probe->allocsLast - probe->allocsAtWarm;
-    ASSERT_GT(steadyFrames, 1000u);
-    const double perFrame = double(steadyAllocs) / double(steadyFrames);
-    EXPECT_LT(perFrame, 0.05) << steadyAllocs << " allocs over " << steadyFrames
-                              << " frames";
-
-    // Every event closure fit the scheduler's inline storage: the relay
-    // copy-on-writes this run performs (prepend at forwarding nodes) are
-    // slab-served, which is exactly why allocs/frame stays ~0 above.
-    EXPECT_EQ(sim::SmallFn::heapFallbacks(), smallFn0);
+    // The golden corpus's reduced city grid: 120 nodes, 24 saturating
+    // mixed-direction flows, 15 simulated seconds.
+    const ScenarioSpec spec = cityScaleSpec(15 * sim::kSecond, 120);
+    expectSteadyStateAllocationFree(spec, spec.workload.multiFlowDuration / 3, 5000,
+                                    [](const ScenarioSpec& s) {
+                                        return runMultiFlow(s, 1).aggregateKbps > 0.0;
+                                    });
 }
 
 TEST(SteadyAlloc, EndpointEncodeKeepsPrependFallbackCold) {

@@ -7,8 +7,9 @@
 //               clamping, the SYN exemption), handshake negotiation in both
 //               directions, the >14 peer-shift clamp via a crafted SYN-ACK,
 //               and the window-handling bugfix pins: RFC 793 SND.WL1/WL2
-//               ordering, the challenge-ACK guard, and receiver-side SWS
-//               avoidance (RFC 1122 §4.2.3.3).
+//               ordering, the challenge-ACK guard, receiver-side SWS
+//               avoidance (RFC 1122 §4.2.3.3), and the bdp_pipe gate: at
+//               24 Mb/s x 50 ms scaled+autotuned goodput is >= 2x unscaled.
 //  Autotune     DRS-style receive-buffer growth stops exactly at the
 //               configured budget; no budget (or one at/below the initial
 //               capacity) means no growth; RecvBuffer::grow preserves both
@@ -23,6 +24,7 @@
 #include "tcplp/mac/csma.hpp"
 #include "tcplp/phy/channel.hpp"
 #include "tcplp/phy/radio.hpp"
+#include "tcplp/scenario/workloads.hpp"
 #include "tcplp/tcp/recv_buffer.hpp"
 #include "tcplp/tcp/segment.hpp"
 #include "tcplp/tcp/tcp.hpp"
@@ -289,6 +291,38 @@ TEST(WindowScale, TrickleReaderDoesNotOscillate) {
     EXPECT_FALSE(p.server->read(100).empty());
     p.run(3 * sim::kSecond);
     EXPECT_GE(std::uint32_t(p.client->tcb().sndUna - una1), 100u);
+}
+
+// --- WindowScale: the BDP gate ----------------------------------------------
+
+/// The bdp_pipe point at the ESP32-class 24 Mb/s x 50 ms corner (BDP ~300
+/// KiB), with the golden corpus's 5 s trim (bench/bench_bdp.cpp), inlined
+/// because tcplp_tests links none of the bench/ scenario registrations.
+scenario::ScenarioSpec bdpGateSpec(bool windowScaling) {
+    constexpr std::size_t kBdpBudgetBytes = 512 * 1024;
+    scenario::ScenarioSpec s;
+    s.topology.kind = scenario::TopologyKind::kPipe;
+    s.topology.pipeBandwidthBps = 24e6;
+    s.topology.pipeOneWayDelay = sim::fromMillis(50);
+    s.workload.mssFrames = 0;
+    s.workload.mssBytes = 1220;
+    s.workload.bdpBufferBytes = kBdpBudgetBytes;
+    s.workload.totalBytes = 50'000'000;
+    s.workload.timeLimit = 5 * sim::kSecond;
+    s.workload.windowScaling = windowScaling;
+    s.workload.recvAutotuneBudgetBytes = windowScaling ? kBdpBudgetBytes : 0;
+    return s;
+}
+
+TEST(WindowScale, ScaledGoodputDoublesAtTheEsp32GatePoint) {
+    // The 16-bit window caps goodput at ~64 KiB per RTT; RFC 7323 scaling
+    // plus autotuning must clear 2x that. The golden bdp_pipe rows read
+    // 17,114 vs 4,633 kb/s (3.69x); the run is deterministic, so the margin
+    // absorbs retunes, not noise.
+    const scenario::MetricRow unscaled = scenario::runScenario(bdpGateSpec(false), 1);
+    const scenario::MetricRow scaled = scenario::runScenario(bdpGateSpec(true), 1);
+    EXPECT_GT(unscaled.number("goodput_kbps"), 0.0);
+    EXPECT_GE(scaled.number("goodput_kbps"), 2.0 * unscaled.number("goodput_kbps"));
 }
 
 // --- Autotune ---------------------------------------------------------------
