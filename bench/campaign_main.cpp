@@ -1,58 +1,69 @@
-// tcplp_campaign: the cross-scenario campaign orchestrator CLI.
+// tcplp_campaign: the scenario CLI.
 //
-// Expands every linked scenario's axis grid x seeds into one flat run-point
-// list, shards it across a single pool of forked workers, and emits one
-// canonical JSON object per point (timing fields stripped — byte-identical
-// for any --jobs N). Usage:
+// Every bench/bench_*.cpp driver is linked in. Expands the selected
+// scenarios' axis grids x seeds into one flat run-point list, shards it
+// across a single pool of forked workers, and emits one JSON object per
+// point (byte-identical for any --jobs N). Usage:
 //
 //   tcplp_campaign [--list] [--filter SUBSTR] [--subset golden] [--jobs N]
 //                  [--out DIR] [--resume] [--golden DIR] [--check]
 //                  [--present-golden DIR] [--seeds a,b,c] [--quiet]
 //
+//   --list      print the selected scenarios with their point counts, exit
 //   --filter    run only scenarios whose name contains SUBSTR
 //   --subset    'golden': the curated fast corpus subset (scenario::goldenSubset)
-//   --jobs N    worker processes across the whole campaign (default 1);
-//               output is byte-identical to N=1
+//   --jobs N    worker processes across the whole campaign (N >= 1,
+//               default 1); output is byte-identical to N=1
 //   --out DIR   write per-scenario artifacts + a resume manifest to DIR
 //   --resume    skip points already recorded in DIR's manifest
 //   --golden D  write the golden corpus to D — or, with --check, diff
-//               against it instead (exit 1 on any non-timing drift)
+//               against it instead (exit 1 on any drift)
 //   --check     verify mode: diff against --golden / --present-golden DIR
 //   --present-golden D
-//               snapshot each scenario's presenter table (rendered over
-//               timing-stripped rows, so the text is deterministic) to
+//               write each scenario's paper table (its presenter output) to
 //               D/<name>.txt — or diff against the snapshots with --check
-//   --seeds     override every scenario's seed list
+//   --seeds     override every scenario's seed list (unsigned 64-bit
+//               integers, comma-separated)
 //   --quiet     suppress per-scenario progress on stderr
 //
-// CI runs `tcplp_campaign --subset golden --golden golden --check` as the
+// A malformed option value exits with status 2. CI runs
+// `tcplp_campaign --subset golden --golden golden --check` as the
 // cross-refactor determinism oracle; see docs/SCENARIOS.md.
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tcplp/scenario/campaign.hpp"
 
 namespace {
 
-bool parseSeedList(const char* text, std::vector<std::uint64_t>& out) {
-    const char* p = text;
-    while (*p) {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(p, &end, 10);
-        if (end == p) return false;
-        out.push_back(v);
-        p = *end == ',' ? end + 1 : end;
-        if (*end != '\0' && *end != ',') return false;
+/// Parses all of `text` as a base-10 integer: no sign on unsigned types, no
+/// whitespace, no overflow.
+template <typename T>
+bool parseInteger(std::string_view text, T& out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+}
+
+/// "a,b,c" -> seeds; every item must be a whole unsigned 64-bit integer.
+bool parseSeedList(std::string_view text, std::vector<std::uint64_t>& out) {
+    out.clear();
+    for (;;) {
+        const std::size_t comma = text.find(',');
+        std::uint64_t seed = 0;
+        if (!parseInteger(text.substr(0, comma), seed)) return false;
+        out.push_back(seed);
+        if (comma == std::string_view::npos) return true;
+        text.remove_prefix(comma + 1);
     }
-    return !out.empty();
 }
 
 int usage(const char* argv0) {
@@ -64,25 +75,16 @@ int usage(const char* argv0) {
     return 2;
 }
 
-/// The scenario's presenter output, captured from stdout. The presenter
-/// renders TIMING-STRIPPED copies of the rows: any presenter that reads a
-/// wall-clock field sees 0, so the snapshot text is a deterministic function
-/// of (spec, seed) and can be golden-pinned like the JSONL artifacts.
-std::string capturePresentation(const tcplp::scenario::CampaignScenario& s) {
-    using namespace tcplp::scenario;
-    SweepResult sweep;
-    sweep.def = &s.def;
-    sweep.ok = true;
-    sweep.records.reserve(s.records.size());
-    for (const RunRecord& rec : s.records)
-        sweep.records.push_back(RunRecord{rec.point, stripTimingFields(rec.row)});
-
+/// The scenario's presenter output, captured from stdout. Rows hold only
+/// simulation outputs, so the text is a deterministic function of
+/// (spec, seed) and can be golden-pinned like the JSONL artifacts.
+std::string capturePresentation(const tcplp::scenario::SweepResult& s) {
     std::fflush(stdout);
     FILE* sink = std::tmpfile();
     if (sink == nullptr) return {};
     const int saved = dup(fileno(stdout));
     dup2(fileno(sink), fileno(stdout));
-    s.def.present(sweep);
+    s.def.present(s);
     std::fflush(stdout);
     dup2(saved, fileno(stdout));
     close(saved);
@@ -150,7 +152,10 @@ int main(int argc, char** argv) {
         } else if (const char* v = valueOf("--subset")) {
             subset = v;
         } else if (const char* v = valueOf("--jobs")) {
-            options.jobs = std::atoi(v);
+            if (!parseInteger(v, options.jobs) || options.jobs < 1) {
+                std::fprintf(stderr, "bad --jobs value: %s (want an integer >= 1)\n", v);
+                return 2;
+            }
         } else if (const char* v = valueOf("--out")) {
             options.outDir = v;
         } else if (const char* v = valueOf("--golden")) {
@@ -158,9 +163,11 @@ int main(int argc, char** argv) {
         } else if (const char* v = valueOf("--present-golden")) {
             presentDir = v;
         } else if (const char* v = valueOf("--seeds")) {
-            options.seedOverride.clear();
             if (!parseSeedList(v, options.seedOverride)) {
-                std::fprintf(stderr, "bad --seeds list: %s\n", v);
+                std::fprintf(stderr,
+                             "bad --seeds list: %s (want unsigned 64-bit integers, "
+                             "comma-separated)\n",
+                             v);
                 return 2;
             }
         } else {
@@ -208,7 +215,9 @@ int main(int argc, char** argv) {
     }
     if (list) {
         for (const ScenarioDef& def : defs) {
-            std::size_t points = def.seeds.size();
+            std::size_t points = options.seedOverride.empty()
+                                     ? def.seeds.size()
+                                     : options.seedOverride.size();
             for (const Axis& a : def.axes) points *= a.values.size();
             std::printf("%-24s %4zu points  %s\n", def.name.c_str(), points,
                         def.title.c_str());
@@ -236,7 +245,7 @@ int main(int argc, char** argv) {
     int presentFailures = 0;
     if (!presentDir.empty() && check) {
         std::size_t checked = 0;
-        for (const CampaignScenario& s : result.scenarios) {
+        for (const SweepResult& s : result.scenarios) {
             if (!s.def.present) continue;
             const std::string detail = diffPresentation(
                 presentArtifactPath(presentDir, s.def.name), capturePresentation(s));
@@ -260,7 +269,7 @@ int main(int argc, char** argv) {
             return 1;
         }
         std::size_t written = 0;
-        for (const CampaignScenario& s : result.scenarios) {
+        for (const SweepResult& s : result.scenarios) {
             if (!s.def.present) continue;
             const std::string path = presentArtifactPath(presentDir, s.def.name);
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -299,7 +308,7 @@ int main(int argc, char** argv) {
                      result.scenarios.size(), goldenDir.c_str());
     }
 
-    const std::string lines = result.canonicalLines();
+    const std::string lines = result.jsonLines();
     std::fwrite(lines.data(), 1, lines.size(), stdout);
     return 0;
 }

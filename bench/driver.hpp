@@ -1,10 +1,9 @@
 // Shared conveniences for the bench driver translation units.
 //
 // Each driver registers one or more ScenarioDefs (a ~15-line declarative
-// spec + an optional paper-style presenter) and contains no main();
-// bench/bench_main.cpp provides the CLI (--list/--filter/--jobs/--json),
-// and CMake links every driver both as its historical standalone binary and
-// into the combined `tcplp_bench`.
+// spec + an optional paper-style presenter) and contains no main(); CMake
+// compiles every driver once, into `tcplp_campaign`, whose CLI
+// (bench/campaign_main.cpp) runs any selection of them.
 #pragma once
 
 #include <cstdio>

@@ -72,18 +72,9 @@ std::vector<std::pair<std::size_t, MetricRow>> loadManifestRows(
 
 }  // namespace
 
-std::string CampaignScenario::canonicalLines() const {
+std::string CampaignResult::jsonLines() const {
     std::string out;
-    for (const RunRecord& r : records) {
-        out += toCanonicalJsonLine(r.row);
-        out += '\n';
-    }
-    return out;
-}
-
-std::string CampaignResult::canonicalLines() const {
-    std::string out;
-    for (const CampaignScenario& s : scenarios) out += s.canonicalLines();
+    for (const SweepResult& s : scenarios) out += s.jsonLines();
     return out;
 }
 
@@ -180,7 +171,7 @@ CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
 
     // --- Registry-order scenario assembly --------------------------------
     for (std::size_t d = 0; d < defs.size(); ++d) {
-        CampaignScenario scenario;
+        SweepResult scenario;
         scenario.def = defs[d];
         scenario.records.reserve(plan.defPointCounts[d]);
         for (std::size_t k = 0; k < plan.defPointCounts[d]; ++k) {
@@ -301,14 +292,14 @@ bool writeGoldenCorpus(const CampaignResult& result, const std::string& dir,
         error = "cannot create golden directory '" + dir + "': " + ec.message();
         return false;
     }
-    for (const CampaignScenario& s : result.scenarios) {
+    for (const SweepResult& s : result.scenarios) {
         const std::string path = goldenArtifactPath(dir, s.def.name);
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         if (!out) {
             error = "cannot write golden artifact '" + path + "'";
             return false;
         }
-        out << s.canonicalLines();
+        out << s.jsonLines();
     }
     return true;
 }
@@ -327,7 +318,7 @@ std::vector<GoldenDiff> checkGoldenCorpus(const CampaignResult& result,
         }
         return lines;
     };
-    for (const CampaignScenario& s : result.scenarios) {
+    for (const SweepResult& s : result.scenarios) {
         const std::string path = goldenArtifactPath(dir, s.def.name);
         std::ifstream in(path, std::ios::binary);
         if (!in) {
@@ -337,7 +328,7 @@ std::vector<GoldenDiff> checkGoldenCorpus(const CampaignResult& result,
         std::stringstream ss;
         ss << in.rdbuf();
         const std::vector<std::string> expected = splitLines(ss.str());
-        const std::vector<std::string> actual = splitLines(s.canonicalLines());
+        const std::vector<std::string> actual = splitLines(s.jsonLines());
         if (expected.size() != actual.size()) {
             diffs.push_back({s.def.name,
                              "point count changed: golden has " +

@@ -1,24 +1,23 @@
-// Cross-scenario campaign orchestrator + golden-run regression corpus.
+// Scenario runner + golden-run regression corpus.
 //
-// runSweep (PR 3) parallelizes *within* one scenario; a Campaign flattens
-// EVERY selected scenario's axis grid x seeds into one global run-point
-// list and shards that across a single pool of forked workers — a worker
-// executes points from different scenarios back-to-back, so a registry full
-// of small grids keeps all cores busy instead of draining one scenario at a
-// time. The merge is deterministic (registry order across scenarios, grid
-// order within), so campaign output is byte-identical for any --jobs N.
+// runCampaign is the one way scenarios run. It flattens EVERY selected
+// scenario's axis grid x seeds into one global run-point list and shards
+// that across a single pool of forked workers — a worker executes points
+// from different scenarios back-to-back, so a registry full of small grids
+// keeps all cores busy instead of draining one scenario at a time. The
+// merge is deterministic (selection order across scenarios, grid order
+// within), so campaign output is byte-identical for any --jobs N.
 //
-// Canonical output: campaign artifacts render rows through
-// toCanonicalJsonLine — the timing fields (wall_ms, backend, *_per_sec,
-// ...; see metrics.hpp) are stripped, leaving exactly the fields that are
-// deterministic functions of (spec, seed). This is what makes the output a
-// cross-refactor determinism oracle:
+// Rows carry only simulation outputs — deterministic functions of
+// (spec, seed); host timing belongs to the repository benchmark
+// (benchmark/). That is what makes the output a cross-refactor
+// determinism oracle, every field of every row included:
 //
-//  * --golden DIR writes one canonical JSON-lines artifact per scenario
-//    (every MetricRow, including each point's rng_digest).
-//  * --check re-runs the campaign and diffs against the corpus; any
-//    non-timing drift — a changed goodput, a shifted RNG stream, a
-//    reordered merge — fails loudly with the first diverging line.
+//  * --golden DIR writes one JSON-lines artifact per scenario (every
+//    MetricRow, including each point's rng_digest).
+//  * --check re-runs the campaign and diffs against the corpus; any drift
+//    — a changed goodput, a shifted RNG stream, a reordered merge — fails
+//    loudly with the first diverging line.
 //  * The checked-in golden/ corpus pins a curated fast subset
 //    (goldenSubset()), which CI re-checks on every push.
 //
@@ -28,6 +27,7 @@
 // final output is byte-identical to an uninterrupted run.
 #pragma once
 
+#include "tcplp/scenario/shard.hpp"
 #include "tcplp/scenario/sweep.hpp"
 
 namespace tcplp::scenario {
@@ -43,25 +43,17 @@ struct CampaignOptions {
     bool progress = false;
 };
 
-struct CampaignScenario {
-    ScenarioDef def;                 // the def the campaign ran (incl. trims)
-    std::vector<RunRecord> records;  // grid order
-    /// One canonical JSON object per record, timing fields stripped,
-    /// trailing newline each — the artifact/golden rendering.
-    std::string canonicalLines() const;
-};
-
 struct CampaignResult {
     bool ok = false;
     std::string error;
     std::vector<ShardFailure> failures;   // dead workers, attributed to points
-    std::vector<CampaignScenario> scenarios;  // selection order
+    std::vector<SweepResult> scenarios;   // selection order
     std::size_t pointsRun = 0;
     std::size_t pointsResumed = 0;  // skipped via the manifest
 
-    /// All scenarios' canonicalLines() concatenated in selection order —
-    /// the campaign's stdout rendering.
-    std::string canonicalLines() const;
+    /// All scenarios' jsonLines() concatenated in selection order — the
+    /// campaign's stdout rendering.
+    std::string jsonLines() const;
 };
 
 /// Runs every def's full grid through one shared worker pool. Defs are
@@ -74,16 +66,19 @@ CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
 /// registry order.
 std::vector<ScenarioDef> registryDefs(const std::string& filter = {});
 
-/// The curated golden-corpus subset: sweep_smoke, sec72_hops,
-/// office_multiflow, grid200_dense, fig10_table8_day trimmed from 24 to
-/// 1 simulated hour, city_scale trimmed to a 120-node grid on the current
-/// engine, the self-healing scenarios, and the three chaos scenarios
-/// (line_blackout, office_reboot_storm, border_router_restart) — fast
-/// enough for CI, wide
-/// enough to cover the bulk line path, the office tree, the dense grid, the
-/// sweep machinery, the anemometer application study, and the
-/// fault-injection layer. Regenerate golden/ with this exact subset
-/// (see docs/SCENARIOS.md). Curated names missing from the registry are
+/// The curated golden-corpus subset, 15 scenarios: sweep_smoke,
+/// sec72_hops, office_multiflow, grid200_dense, fig10_table8_day trimmed
+/// from 24 to 1 simulated hour, the chaos scenarios line_blackout,
+/// office_reboot_storm and border_router_restart, the self-healing
+/// scenarios relay_failover and partition_heal, the congestion-control
+/// shootouts fairness_cc_shootout and lossy_line_cc_shootout, city_scale
+/// trimmed to a 120-node 15 s grid, and the high-BDP sweeps bdp_pipe and
+/// bdp_line trimmed to 5 s and 8 s. Fast enough for CI, wide enough to
+/// cover the bulk line path, the office tree, the dense grid, the runner
+/// itself, the anemometer application study, fault injection, routing
+/// failover, the congestion-control strategies, the megascale datapath and
+/// window scaling. Regenerate golden/ with this exact subset (see
+/// docs/SCENARIOS.md). Curated names missing from the registry are
 /// skipped here (a test binary links no drivers); the campaign CLI compares
 /// against goldenSubsetNames() and fails loudly, so a dropped driver cannot
 /// silently shrink the corpus check.
@@ -97,8 +92,8 @@ std::vector<std::string> goldenSubsetNames();
 /// DIR/<scenario>.jsonl
 std::string goldenArtifactPath(const std::string& dir, const std::string& scenario);
 
-/// Writes one canonical artifact per scenario into `dir` (created if
-/// needed). Returns false with `error` set on I/O failure.
+/// Writes one artifact per scenario (its jsonLines()) into `dir` (created
+/// if needed). Returns false with `error` set on I/O failure.
 bool writeGoldenCorpus(const CampaignResult& result, const std::string& dir,
                        std::string& error);
 

@@ -71,8 +71,8 @@ struct ChaosBulkResult {
 
 /// The chaos bulk runner: uplink mote -> cloud transfer with the spec's
 /// FaultSpec installed (when enabled), app-level reconnect, and the progress
-/// watchdog. A stalled flow throws std::runtime_error, which the sweep and
-/// campaign machinery convert into an attributed failure.
+/// watchdog. A stalled flow throws std::runtime_error, which the campaign
+/// runner converts into an attributed failure.
 ChaosBulkResult runChaosBulk(const ScenarioSpec& spec, std::uint64_t seed);
 
 /// runChaosBulk flattened into the standardized chaos metric keys.

@@ -126,49 +126,6 @@ std::string toJsonLine(const MetricRow& row) {
     return out;
 }
 
-bool writeJsonLines(const std::string& path, const std::vector<MetricRow>& rows) {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    for (const MetricRow& row : rows) {
-        const std::string line = toJsonLine(row);
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fputc('\n', f);
-    }
-    std::fclose(f);
-    return true;
-}
-
-// --- Timing-field canonicalization ----------------------------------------
-
-bool isTimingField(const std::string& key) {
-    static const char* kExact[] = {"wall_ms", "cores", "speedup", "auto_speedup"};
-    for (const char* name : kExact) {
-        if (key == name) return true;
-    }
-    // "_allocs_per_frame" counts global operator-new calls, which are a
-    // perf observable of the build (stdlib growth policies, inlining), not
-    // of the simulated behavior — stripped like the wall-clock fields.
-    static const char* kSuffixes[] = {"_per_sec", "_ns_per_event", "_wall_ms",
-                                      "_allocs_per_frame"};
-    for (const char* suffix : kSuffixes) {
-        const std::size_t n = std::char_traits<char>::length(suffix);
-        if (key.size() > n && key.compare(key.size() - n, n, suffix) == 0) return true;
-    }
-    return false;
-}
-
-MetricRow stripTimingFields(const MetricRow& row) {
-    MetricRow out;
-    for (const auto& [key, value] : row.fields()) {
-        if (!isTimingField(key)) out.set(key, value);
-    }
-    return out;
-}
-
-std::string toCanonicalJsonLine(const MetricRow& row) {
-    return toJsonLine(stripTimingFields(row));
-}
-
 // --- Row frame codec --------------------------------------------------------
 
 namespace {

@@ -2,13 +2,16 @@
 //
 // Every run point of every scenario produces one MetricRow — an ordered list
 // of (key, value) pairs — and every consumer reads the same rendering: the
-// per-figure presenters, the campaign's golden corpus, and the CI sweep
+// per-figure presenters, the campaign's golden corpus, and the CI campaign
 // smoke all see exactly one JSON object per line, keys in insertion order.
-// The 23 bench binaries used to hand-roll this formatting ad hoc; this is
-// the one shared implementation.
+//
+// Rows carry only simulation outputs: every field is a deterministic
+// function of (spec, seed), and the golden corpus pins every field of
+// every row. Host timing (wall clock, rates, allocation counts) belongs to
+// the repository benchmark (benchmark/), never to a scenario row.
 //
 // Determinism contract: doubles are rendered shortest-round-trip
-// (std::to_chars), so a row that crosses the sweep worker pipe as text
+// (std::to_chars), so a row that crosses a campaign worker's pipe as text
 // reparses to the bit-identical value and re-renders to the same bytes.
 // This is what makes `--jobs N` output byte-identical to `--jobs 1`.
 #pragma once
@@ -84,38 +87,9 @@ std::string formatDouble(double v);
 /// One JSON object, no trailing newline, keys in row order.
 std::string toJsonLine(const MetricRow& row);
 
-/// Writes `rows` as JSON lines to `path` (one object per line).
-bool writeJsonLines(const std::string& path, const std::vector<MetricRow>& rows);
-
-// --- Timing-field canonicalization ----------------------------------------
-//
-// A handful of metric keys record *host* observations (worker-process
-// timings, throughput rates, allocation counts). They are the only
-// fields of a row that legitimately differ between two runs of the same
-// (spec, seed), so every determinism consumer — campaign output, the golden
-// regression corpus, the jobs-N-vs-serial identity checks — strips them
-// before comparing or persisting. The list is a fixed convention (documented
-// in docs/SCENARIOS.md):
-//
-//   exact:  wall_ms, cores, speedup, auto_speedup
-//   suffix: *_per_sec, *_ns_per_event, *_wall_ms, *_allocs_per_frame
-//
-// Simulated-time metrics (rtt_median_ms, ...) are NOT timing fields: they
-// are deterministic outputs of the simulation and must be pinned.
-
-/// True if `key` names a wall-clock/timing field per the list above.
-bool isTimingField(const std::string& key);
-
-/// Copy of `row` with every timing field removed (insertion order kept).
-MetricRow stripTimingFields(const MetricRow& row);
-
-/// toJsonLine(stripTimingFields(row)) — the canonical rendering used by the
-/// campaign artifacts and the golden corpus.
-std::string toCanonicalJsonLine(const MetricRow& row);
-
 // --- Row frame codec --------------------------------------------------------
 //
-// The exact line-based text encoding a MetricRow uses to cross a sweep
+// The exact line-based text encoding a MetricRow uses to cross a campaign
 // worker's pipe, and (unchanged) the campaign manifest's completed-point
 // record:
 //

@@ -5,8 +5,8 @@
 // hook mapping one grid point onto the spec, and an optional presenter that
 // renders the paper-style table from the collected rows. The bench drivers
 // are thin translation units that construct one static Registration each;
-// bench_main links any subset of them against the shared CLI
-// (--list/--filter/--jobs/--json).
+// tcplp_campaign links all of them behind one CLI (--list/--filter/--jobs/
+// --present-golden, ...).
 #pragma once
 
 #include <functional>

@@ -1,10 +1,9 @@
 // Generalized fork+pipe worker pool for sharded run-point execution.
 //
-// This is the PR 3 sweep machinery, extracted and generalized: the caller
-// hands over an *indexed task list* (any mix of scenarios — runSweep shards
-// one scenario's grid, Campaign shards the whole registry's flattened grid)
-// and a pool of forked workers executes the tasks round-robin, streaming
-// each finished MetricRow back over a pipe. The parent reassembles rows by
+// The caller hands over an *indexed task list* (runCampaign passes every
+// selected scenario's flattened grid, so one list mixes scenarios) and a
+// pool of forked workers executes the tasks round-robin, streaming each
+// finished MetricRow back over a pipe. The parent reassembles rows by
 // task index, so the merged result is byte-identical to a serial run: a
 // worker's identity never reaches a row, and tasks must derive any
 // randomness from their index, never from execution order.

@@ -6,9 +6,9 @@
 // transfer, two-flow fairness, embedded-stack baseline, in-memory pipe,
 // anemometer fleet, multi-flow mix), and the TCP-level knobs the paper
 // sweeps (segment size, window, feature ablations). The engine in
-// workloads.cpp turns a spec + seed into a deterministic run; the sweep
-// runner (sweep.hpp) expands axis grids over specs and shards the points
-// across worker processes.
+// workloads.cpp turns a spec + seed into a deterministic run; sweep.hpp
+// expands axis grids over specs, and the campaign runner (campaign.hpp)
+// shards the points across worker processes.
 //
 // Adding a paper figure used to mean a ~150-line driver; with a spec it is
 // a ~15-line registration (see bench/bench_*.cpp).
@@ -213,7 +213,7 @@ struct FaultSpec {
     std::optional<sim::Time> keepAliveIdle;  // nonzero enables keep-alive probes
 
     /// Progress watchdog: fail the run (std::runtime_error, attributed by
-    /// the sweep/campaign machinery) if the flow delivers nothing fresh for
+    /// the campaign runner) if the flow delivers nothing fresh for
     /// this long while no injected outage is active. 0 disables — but every
     /// registered chaos scenario keeps it on, so no chaos run can hang.
     sim::Time watchdogStall = 2 * sim::kMinute;

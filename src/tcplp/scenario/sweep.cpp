@@ -1,9 +1,6 @@
 #include "tcplp/scenario/sweep.hpp"
 
-#include <algorithm>
-
 #include "tcplp/common/assert.hpp"
-#include "tcplp/scenario/shard.hpp"
 #include "tcplp/scenario/workloads.hpp"
 #include "tcplp/sim/rng.hpp"
 
@@ -104,32 +101,6 @@ std::string describePoint(const ScenarioDef& def, const Point& point,
         out += axis + "=" + formatDouble(value) + ", ";
     out += "seed=" + std::to_string(point.seed) + ")";
     return out;
-}
-
-SweepResult runSweep(const ScenarioDef& def, const SweepOptions& options) {
-    SweepResult result;
-    result.def = &def;
-    const std::vector<std::uint64_t>& seeds =
-        options.seedOverride.empty() ? def.seeds : options.seedOverride;
-    const std::vector<Point> points = expandPoints(def, seeds);
-
-    ShardOptions shardOptions;
-    shardOptions.jobs = options.jobs;
-    ShardOutcome outcome = runShardedTasks(
-        points.size(), [&](std::size_t i) { return runPointRow(def, points[i]); },
-        [&](std::size_t i) { return describePoint(def, points[i], points.size()); },
-        shardOptions);
-    result.failures = std::move(outcome.failures);
-    if (!outcome.ok) {
-        result.error = outcome.error;
-        return result;
-    }
-
-    result.records.resize(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        result.records[i] = RunRecord{points[i], std::move(outcome.rows[i])};
-    result.ok = true;
-    return result;
 }
 
 }  // namespace tcplp::scenario

@@ -1,38 +1,21 @@
-// Sharded parallel sweep runner.
+// Grid expansion and the per-scenario result.
 //
-// A sweep expands a ScenarioDef's axis grid × seed list into run points and
-// executes every point, either serially in-process (`jobs == 1`) or sharded
-// round-robin across `jobs` forked worker processes, each streaming its
-// finished rows back over a pipe. The parent reassembles rows in grid order,
-// so the merged output is byte-identical to the serial run — a worker's
-// identity never reaches a row, and each point's RNG stream is keyed on its
-// grid position (sim::Rng::deriveStream), never on the worker that ran it.
-//
-// Determinism contract (pinned by tests/test_scenario_sweep.cpp):
-//   jsonLines(runSweep(def, {jobs: N})) == jsonLines(runSweep(def, {jobs: 1}))
-// for every N, byte for byte.
+// A scenario's axis grid × seed list expands into run points
+// (expandPoints); runCampaign (campaign.hpp) executes the points of every
+// selected scenario through one worker pool and hands each scenario's rows
+// back as a SweepResult in grid order. Each point's RNG stream is keyed on
+// its grid position (sim::Rng::deriveStream), never on the worker that ran
+// it, so the rows are byte-identical for any job count.
 #pragma once
 
 #include "tcplp/scenario/registry.hpp"
-#include "tcplp/scenario/shard.hpp"
 
 namespace tcplp::scenario {
 
-struct SweepOptions {
-    int jobs = 1;  // <=1: serial in-process
-    /// Non-empty: replaces the def's seed list (the CLI's --seeds).
-    std::vector<std::uint64_t> seedOverride{};
-};
-
+/// One scenario's merged rows: what a presenter reads.
 struct SweepResult {
-    const ScenarioDef* def = nullptr;
+    ScenarioDef def;                 // the def that ran (incl. trims)
     std::vector<RunRecord> records;  // grid order
-    bool ok = false;
-    std::string error;
-    /// Every worker death, attributed to the run point it was executing
-    /// (scenario name + grid point + stderr tail); error holds the first
-    /// failure's rendered message.
-    std::vector<ShardFailure> failures;
 
     /// Records whose point matches every (axis, value) pair.
     std::vector<const RunRecord*> select(
@@ -43,7 +26,8 @@ struct SweepResult {
     /// at one axis point).
     double mean(const char* key,
                 std::initializer_list<std::pair<const char*, double>> match) const;
-    /// One JSON object per record, grid order, trailing newline each.
+    /// One JSON object per record, grid order, trailing newline each: the
+    /// campaign's artifact and golden-corpus rendering.
     std::string jsonLines() const;
 };
 
@@ -54,13 +38,10 @@ std::vector<Point> expandPoints(const ScenarioDef& def,
 
 /// Executes one expanded run point: bind -> measure (or runScenario) ->
 /// standard row prefix (scenario/index/seed/axes) + the measured fields.
-/// Shared by runSweep and the cross-scenario Campaign.
 MetricRow runPointRow(const ScenarioDef& def, const Point& point);
 
 /// "scenario 'name' point 3/8 (hops=2, seed=1)" — used in diagnostics.
 std::string describePoint(const ScenarioDef& def, const Point& point,
                           std::size_t totalPoints);
-
-SweepResult runSweep(const ScenarioDef& def, const SweepOptions& options = {});
 
 }  // namespace tcplp::scenario

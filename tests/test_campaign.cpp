@@ -3,18 +3,18 @@
 // The load-bearing guarantees pinned here:
 //
 //  1. Cross-scenario determinism: one worker pool executing points from
-//     DIFFERENT scenarios back-to-back produces canonical output
-//     byte-identical to the serial run, merged registry-order across
-//     scenarios and grid-order within.
+//     DIFFERENT scenarios back-to-back produces output byte-identical to
+//     the serial run, merged registry-order across scenarios and
+//     grid-order within.
 //
 //  2. Resumability: a campaign interrupted by a dying worker resumes from
 //     its manifest (completed points skipped, their recorded rows merged)
 //     and the final output is byte-identical to an uninterrupted run.
 //
-//  3. Golden regression: --golden writes canonical per-scenario artifacts,
-//     --check passes against an unchanged tree, and a deliberate knob
-//     perturbation (an MSS change on a real bulk scenario) fails the check
-//     with the first diverging row named.
+//  3. Golden regression: --golden writes per-scenario artifacts, --check
+//     passes against an unchanged tree, a deliberate knob perturbation (an
+//     MSS change on a real bulk scenario) fails the check with the first
+//     diverging row named, and no row field is exempt from the check.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -53,7 +53,6 @@ ScenarioDef mechanicalDef(const std::string& name, double scale) {
     def.measure = [scale](const ScenarioSpec&, const Point& p) {
         MetricRow row;
         row.set("value", scale * p.value("i") + p.value("j") + double(p.seed) / 8.0)
-            .set("wall_ms", 123.456)  // timing field: must never reach output
             .set("tag", "mech");
         return row;
     };
@@ -80,31 +79,6 @@ ScenarioDef smallBulkDef() {
 
 }  // namespace
 
-// --- Timing-field canonicalization -----------------------------------------
-
-TEST(CampaignCanonical, TimingFieldListMatchesTheDocumentedConvention) {
-    EXPECT_TRUE(isTimingField("wall_ms"));
-    EXPECT_TRUE(isTimingField("cores"));
-    EXPECT_TRUE(isTimingField("speedup"));
-    EXPECT_TRUE(isTimingField("auto_speedup"));
-    EXPECT_TRUE(isTimingField("pooled_events_per_sec"));
-    EXPECT_TRUE(isTimingField("legacy_ns_per_event"));
-    EXPECT_TRUE(isTimingField("serial_wall_ms"));
-    // Simulated-time metrics are NOT timing fields: they must stay pinned.
-    EXPECT_FALSE(isTimingField("rtt_median_ms"));
-    EXPECT_FALSE(isTimingField("goodput_kbps"));
-    EXPECT_FALSE(isTimingField("rng_digest"));
-    EXPECT_FALSE(isTimingField("lln_tx_time_ms"));
-}
-
-TEST(CampaignCanonical, StripKeepsOrderAndDropsOnlyTimingFields) {
-    MetricRow row;
-    row.set("a", 1).set("wall_ms", 2.5).set("b", "x").set("events_per_sec", 9.0);
-    const MetricRow stripped = stripTimingFields(row);
-    EXPECT_EQ(toJsonLine(stripped), "{\"a\":1,\"b\":\"x\"}");
-    EXPECT_EQ(toCanonicalJsonLine(row), "{\"a\":1,\"b\":\"x\"}");
-}
-
 // --- Cross-scenario sharding ------------------------------------------------
 
 TEST(Campaign, CrossScenarioShardingIsByteIdenticalToSerial) {
@@ -122,14 +96,12 @@ TEST(Campaign, CrossScenarioShardingIsByteIdenticalToSerial) {
     ASSERT_TRUE(parallel.ok) << parallel.error;
     ASSERT_EQ(serial.scenarios.size(), 3u);
     EXPECT_EQ(serial.pointsRun, 12u + 12u + 4u);
-    EXPECT_EQ(serial.canonicalLines(), parallel.canonicalLines());
+    EXPECT_EQ(serial.jsonLines(), parallel.jsonLines());
     // Merge order: selection order across scenarios, grid order within.
     EXPECT_EQ(serial.scenarios[0].def.name, "camp_a");
     EXPECT_EQ(serial.scenarios[2].def.name, "camp_bulk");
     for (std::size_t i = 0; i < serial.scenarios[2].records.size(); ++i)
         EXPECT_EQ(serial.scenarios[2].records[i].point.index, i);
-    // Timing fields never reach canonical output.
-    EXPECT_EQ(serial.canonicalLines().find("wall_ms"), std::string::npos);
     // The real scenario's digests are live in both runs.
     for (const RunRecord& r : parallel.scenarios[2].records)
         EXPECT_NE(r.row.number("rng_digest"), 0.0);
@@ -142,7 +114,7 @@ TEST(Campaign, SeedOverrideAppliesToEveryScenario) {
     opt.seedOverride = {7};
     const CampaignResult result = runCampaign(defs, opt);
     ASSERT_TRUE(result.ok) << result.error;
-    for (const CampaignScenario& s : result.scenarios) {
+    for (const SweepResult& s : result.scenarios) {
         ASSERT_EQ(s.records.size(), 6u);  // 3x2 axes, one override seed
         for (const RunRecord& r : s.records) EXPECT_EQ(r.point.seed, 7u);
     }
@@ -207,7 +179,7 @@ TEST(Campaign, ResumeAfterWorkerAbortIsByteIdenticalToUninterrupted) {
     freshOpt.outDir = dir + "/fresh";
     const CampaignResult fresh = runCampaign(defs, freshOpt);
     ASSERT_TRUE(fresh.ok) << fresh.error;
-    EXPECT_EQ(resumed.canonicalLines(), fresh.canonicalLines());
+    EXPECT_EQ(resumed.jsonLines(), fresh.jsonLines());
 
     // The per-scenario artifacts on disk are byte-identical too.
     for (const char* name : {"camp_a", "camp_poison"}) {
@@ -250,14 +222,14 @@ TEST(Campaign, ResumeSalvagesAManifestWithATruncatedTailFrame) {
     ASSERT_TRUE(resumed.ok) << resumed.error;
     EXPECT_GT(resumed.pointsResumed, 0u);   // the salvage was used
     EXPECT_GT(resumed.pointsRun, 0u);       // the chopped point re-ran
-    EXPECT_EQ(resumed.canonicalLines(), full.canonicalLines());
+    EXPECT_EQ(resumed.jsonLines(), full.jsonLines());
 
     // The rewritten manifest is clean: resuming again skips everything.
     const CampaignResult again = runCampaign(defs, opt);
     ASSERT_TRUE(again.ok) << again.error;
     EXPECT_EQ(again.pointsRun, 0u);
     EXPECT_EQ(again.pointsResumed, 12u);
-    EXPECT_EQ(again.canonicalLines(), full.canonicalLines());
+    EXPECT_EQ(again.jsonLines(), full.jsonLines());
 }
 
 TEST(Campaign, ResumeIgnoresAManifestFromADifferentPlan) {
@@ -291,8 +263,8 @@ TEST(Campaign, GoldenWriteThenCheckIsClean) {
     EXPECT_TRUE(fs::exists(goldenArtifactPath(dir, "camp_a")));
     EXPECT_TRUE(fs::exists(goldenArtifactPath(dir, "camp_bulk")));
 
-    // A re-run of the unchanged tree checks clean — including at a
-    // different job count (artifacts are canonical, not run-shaped).
+    // A re-run of the unchanged tree checks clean, also at a different
+    // job count.
     CampaignOptions parallelOpt;
     parallelOpt.jobs = 3;
     const CampaignResult rerun = runCampaign(defs, parallelOpt);
@@ -342,6 +314,34 @@ TEST(Campaign, GoldenCheckReportsMissingArtifactsAndCountChanges) {
     diffs = checkGoldenCorpus(result, dir);
     ASSERT_EQ(diffs.size(), 1u);
     EXPECT_NE(diffs[0].detail.find("point count changed"), std::string::npos)
+        << diffs[0].detail;
+}
+
+TEST(Campaign, GoldenCheckPinsEveryRowField) {
+    // Rows carry only simulation outputs, so no key is exempt from the
+    // check — not even one spelled like a host-side rate.
+    const std::string dir = scratchDir("golden_every_field");
+    const auto rateDef = [](double rate) {
+        ScenarioDef def;
+        def.name = "camp_rate";
+        def.measure = [rate](const ScenarioSpec&, const Point&) {
+            MetricRow row;
+            row.set("frames_per_sec", rate);
+            return row;
+        };
+        return def;
+    };
+    const CampaignResult baseline = runCampaign({rateDef(100.0)});
+    ASSERT_TRUE(baseline.ok) << baseline.error;
+    std::string error;
+    ASSERT_TRUE(writeGoldenCorpus(baseline, dir, error)) << error;
+    EXPECT_TRUE(checkGoldenCorpus(baseline, dir).empty());
+
+    const CampaignResult changed = runCampaign({rateDef(101.0)});
+    ASSERT_TRUE(changed.ok) << changed.error;
+    const std::vector<GoldenDiff> diffs = checkGoldenCorpus(changed, dir);
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_NE(diffs[0].detail.find("frames_per_sec"), std::string::npos)
         << diffs[0].detail;
 }
 

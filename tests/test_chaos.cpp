@@ -18,8 +18,8 @@
 //     completes with verified content.
 #include <gtest/gtest.h>
 
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/chaos.hpp"
-#include "tcplp/scenario/sweep.hpp"
 #include "tcplp/scenario/workloads.hpp"
 
 using namespace tcplp;
@@ -102,11 +102,12 @@ TEST(Chaos, TimelineOutageUnionMergesOverlaps) {
 
 TEST(Chaos, SameSeedAndPlanAreByteIdentical) {
     const ScenarioDef def = chaosDef();
-    const SweepResult a = runSweep(def);
-    const SweepResult b = runSweep(def);
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(a.jsonLines(), b.jsonLines());
+    const CampaignResult runA = runCampaign({def});
+    const CampaignResult runB = runCampaign({def});
+    ASSERT_TRUE(runA.ok) << runA.error;
+    ASSERT_TRUE(runB.ok) << runB.error;
+    EXPECT_EQ(runA.jsonLines(), runB.jsonLines());
+    const SweepResult& a = runA.scenarios.front();
     for (const RunRecord& r : a.records) {
         EXPECT_NE(r.row.number("rng_digest"), 0.0);
         EXPECT_EQ(r.row.number("content_ok"), 1.0);
@@ -121,19 +122,15 @@ TEST(Chaos, SameSeedAndPlanAreByteIdentical) {
 
 TEST(Chaos, ShardedSweepMergesToSerialBytes) {
     const ScenarioDef def = chaosDef();
-    SweepOptions serial;
-    serial.jobs = 1;
-    SweepOptions sharded;
-    sharded.jobs = 8;
-    const SweepResult a = runSweep(def, serial);
-    const SweepResult b = runSweep(def, sharded);
+    const CampaignResult a = runCampaign({def}, {.jobs = 1});
+    const CampaignResult b = runCampaign({def}, {.jobs = 8});
     ASSERT_TRUE(a.ok) << a.error;
     ASSERT_TRUE(b.ok) << b.error;
     EXPECT_EQ(a.jsonLines(), b.jsonLines());
 }
 
 TEST(Chaos, WatchdogFailsWedgedFlowInProcess) {
-    const SweepResult r = runSweep(wedgedDef());
+    const CampaignResult r = runCampaign({wedgedDef()});
     ASSERT_FALSE(r.ok);
     // The serial path wraps the throw into an attributed in-process error.
     EXPECT_NE(r.error.find("chaos watchdog"), std::string::npos) << r.error;
@@ -141,9 +138,7 @@ TEST(Chaos, WatchdogFailsWedgedFlowInProcess) {
 }
 
 TEST(Chaos, WatchdogFailsWedgedFlowAcrossForkedWorkers) {
-    SweepOptions sharded;
-    sharded.jobs = 2;
-    const SweepResult r = runSweep(wedgedDef(), sharded);
+    const CampaignResult r = runCampaign({wedgedDef()}, {.jobs = 2});
     ASSERT_FALSE(r.ok);
     ASSERT_FALSE(r.failures.empty());
     const ShardFailure& f = r.failures.front();

@@ -11,7 +11,7 @@
 #include "tcplp/common/slab_pool.hpp"
 #include "tcplp/phy/channel.hpp"
 #include "tcplp/phy/radio.hpp"
-#include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/workloads.hpp"
 #include "tcplp/sim/simulator.hpp"
 
@@ -37,7 +37,7 @@ std::uint64_t rngDigestOf(const MetricRow& row) {
 TEST(CityScale, ReducedRunIsDeterministicAndPinned) {
     const MetricRow a = runScenario(reducedCitySpec(), 1);
     const MetricRow b = runScenario(reducedCitySpec(), 1);
-    EXPECT_EQ(toCanonicalJsonLine(a), toCanonicalJsonLine(b));
+    EXPECT_EQ(toJsonLine(a), toJsonLine(b));
     // Pinned replay: any engine change that perturbs the RNG draw order
     // (slab pool, batched delivery, cache revalidation are all required to
     // be draw-neutral) moves this digest.
@@ -49,8 +49,8 @@ TEST(CityScale, SerialAndShardedSweepsMatch) {
     d.name = "city_scale_test";
     d.base = reducedCitySpec();
     d.seeds = {1, 2};
-    const SweepResult serial = runSweep(d, SweepOptions{1, {}});
-    const SweepResult sharded = runSweep(d, SweepOptions{4, {}});
+    const CampaignResult serial = runCampaign({d}, {.jobs = 1});
+    const CampaignResult sharded = runCampaign({d}, {.jobs = 4});
     ASSERT_TRUE(serial.ok);
     ASSERT_TRUE(sharded.ok);
     EXPECT_EQ(serial.jsonLines(), sharded.jsonLines());

@@ -24,8 +24,8 @@
 #include <gtest/gtest.h>
 
 #include "tcplp/harness/pipe.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/chaos.hpp"
-#include "tcplp/scenario/sweep.hpp"
 #include "tcplp/sim/fault.hpp"
 #include "tcplp/tcp/tcp.hpp"
 
@@ -156,15 +156,12 @@ TEST(Failover, RebootInsideBlackoutMergesToSerialBytes) {
         s.fault.enabled = faultFromAxis(p.value("fault"));
     };
 
-    SweepOptions serial;
-    serial.jobs = 1;
-    SweepOptions sharded;
-    sharded.jobs = 4;
-    const SweepResult a = runSweep(def, serial);
-    const SweepResult b = runSweep(def, sharded);
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(a.jsonLines(), b.jsonLines());
+    const CampaignResult serial = runCampaign({def}, {.jobs = 1});
+    const CampaignResult sharded = runCampaign({def}, {.jobs = 4});
+    ASSERT_TRUE(serial.ok) << serial.error;
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    EXPECT_EQ(serial.jsonLines(), sharded.jsonLines());
+    const SweepResult& a = serial.scenarios.front();
     // The union counts the overlap once: 20s window, reboot inside it.
     EXPECT_DOUBLE_EQ(a.mean("outage_s", {{"fault", 1.0}}), 20.0);
     for (const RunRecord& r : a.records)

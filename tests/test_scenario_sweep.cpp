@@ -1,4 +1,4 @@
-// Scenario engine + sweep runner coverage.
+// Scenario engine + runner coverage.
 //
 // The two load-bearing guarantees of the PR 3 refactor are pinned here:
 //
@@ -20,9 +20,9 @@
 #include "tcplp/app/bulk.hpp"
 #include "tcplp/harness/anemometer.hpp"
 #include "tcplp/harness/testbed.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/metrics.hpp"
 #include "tcplp/scenario/registry.hpp"
-#include "tcplp/scenario/sweep.hpp"
 #include "tcplp/scenario/workloads.hpp"
 #include "tcplp/sim/rng.hpp"
 
@@ -187,10 +187,12 @@ ScenarioDef smallBulkSweep() {
 
 TEST(ScenarioSweep, ParallelMergeIsByteIdenticalToSerial) {
     const ScenarioDef def = smallBulkSweep();
-    const SweepResult serial = runSweep(def, SweepOptions{1, {}});
-    const SweepResult parallel = runSweep(def, SweepOptions{8, {}});
-    ASSERT_TRUE(serial.ok) << serial.error;
-    ASSERT_TRUE(parallel.ok) << parallel.error;
+    const CampaignResult serialRun = runCampaign({def}, {.jobs = 1});
+    const CampaignResult parallelRun = runCampaign({def}, {.jobs = 8});
+    ASSERT_TRUE(serialRun.ok) << serialRun.error;
+    ASSERT_TRUE(parallelRun.ok) << parallelRun.error;
+    const SweepResult& serial = serialRun.scenarios.front();
+    const SweepResult& parallel = parallelRun.scenarios.front();
     ASSERT_EQ(serial.records.size(), 8u);
     ASSERT_EQ(parallel.records.size(), 8u);
     for (std::size_t i = 0; i < serial.records.size(); ++i) {
@@ -205,11 +207,13 @@ TEST(ScenarioSweep, ParallelMergeIsByteIdenticalToSerial) {
 
 TEST(ScenarioSweep, OddJobCountsAndSeedOverridesStayIdentical) {
     const ScenarioDef def = smallBulkSweep();
-    SweepOptions serialOpt{1, {7, 9}};
-    SweepOptions parallelOpt{3, {7, 9}};
-    const SweepResult serial = runSweep(def, serialOpt);
-    const SweepResult parallel = runSweep(def, parallelOpt);
-    ASSERT_TRUE(serial.ok && parallel.ok);
+    const CampaignResult serialRun =
+        runCampaign({def}, {.jobs = 1, .seedOverride = {7, 9}});
+    const CampaignResult parallelRun =
+        runCampaign({def}, {.jobs = 3, .seedOverride = {7, 9}});
+    ASSERT_TRUE(serialRun.ok && parallelRun.ok);
+    const SweepResult& serial = serialRun.scenarios.front();
+    const SweepResult& parallel = parallelRun.scenarios.front();
     ASSERT_EQ(serial.records.size(), 4u);  // 2 hops x 2 override seeds
     EXPECT_EQ(serial.records[0].point.seed, 7u);
     EXPECT_EQ(serial.jsonLines(), parallel.jsonLines());
@@ -227,9 +231,11 @@ TEST(ScenarioSweep, NonFiniteMetricsSurviveTheWorkerPipe) {
             .set("i", p.value("i"));
         return row;
     };
-    const SweepResult serial = runSweep(def, SweepOptions{1, {}});
-    const SweepResult parallel = runSweep(def, SweepOptions{2, {}});
-    ASSERT_TRUE(serial.ok && parallel.ok);
+    const CampaignResult serialRun = runCampaign({def}, {.jobs = 1});
+    const CampaignResult parallelRun = runCampaign({def}, {.jobs = 2});
+    ASSERT_TRUE(serialRun.ok && parallelRun.ok);
+    const SweepResult& serial = serialRun.scenarios.front();
+    const SweepResult& parallel = parallelRun.scenarios.front();
     for (std::size_t i = 0; i < serial.records.size(); ++i) {
         // In-memory rows must match exactly (inf stays inf, not NaN), so
         // presenter arithmetic cannot diverge between serial and sharded.
@@ -249,7 +255,7 @@ TEST(ScenarioSweep, WorkerFailureSurfacesAsError) {
         row.set("ok", true);
         return row;
     };
-    const SweepResult parallel = runSweep(def, SweepOptions{4, {}});
+    const CampaignResult parallel = runCampaign({def}, {.jobs = 4});
     EXPECT_FALSE(parallel.ok);
     EXPECT_FALSE(parallel.error.empty());
     // The diagnostic names the failing scenario + grid point and carries
@@ -281,7 +287,7 @@ TEST(ScenarioSweep, KilledWorkerIsAttributedToItsRunPoint) {
         row.set("ok", true);
         return row;
     };
-    const SweepResult parallel = runSweep(def, SweepOptions{3, {}});
+    const CampaignResult parallel = runCampaign({def}, {.jobs = 3});
     ASSERT_FALSE(parallel.ok);
     EXPECT_NE(parallel.error.find("signal 9"), std::string::npos) << parallel.error;
     EXPECT_NE(parallel.error.find("test_killed"), std::string::npos) << parallel.error;
