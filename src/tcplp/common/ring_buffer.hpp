@@ -27,32 +27,29 @@ public:
     /// Appends up to `src.size()` bytes; returns the number written.
     std::size_t write(BytesView src) {
         const std::size_t n = std::min(src.size(), free());
-        for (std::size_t i = 0; i < n; ++i)
-            data_[wrap(head_ + size_ + i)] = src[i];
-        size_ += n;
+        writeAt(0, src.first(n));
+        commit(n);
         return n;
     }
 
     /// Writes `src` at byte offset `off` past the current tail, without
     /// advancing size. Used by the in-place reassembly queue to deposit
-    /// out-of-order data into its eventual position (paper Figure 1b).
+    /// out-of-order data into its eventual position (paper Figure 1b). The
+    /// deposit must fit in the free space, so it never overwrites unread
+    /// in-sequence bytes. Copies at most two contiguous spans.
     void writeAt(std::size_t off, BytesView src) {
-        TCPLP_ASSERT(off + src.size() <= capacity());
-        for (std::size_t i = 0; i < src.size(); ++i)
-            data_[wrap(head_ + size_ + off + i)] = src[i];
+        TCPLP_ASSERT(size_ + off + src.size() <= capacity());
+        if (src.empty()) return;
+        const std::size_t pos = wrap(head_ + size_ + off);
+        const std::size_t first = std::min(src.size(), capacity() - pos);
+        std::copy_n(src.begin(), first, data_.begin() + std::ptrdiff_t(pos));
+        std::copy(src.begin() + std::ptrdiff_t(first), src.end(), data_.begin());
     }
 
     /// Marks `n` bytes previously deposited via writeAt() as in-sequence.
     void commit(std::size_t n) {
         TCPLP_ASSERT(size_ + n <= capacity());
         size_ += n;
-    }
-
-    /// Copies up to `dst.size()` bytes from the front without consuming.
-    std::size_t peek(std::span<std::uint8_t> dst) const {
-        const std::size_t n = std::min(dst.size(), size_);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = data_[wrap(head_ + i)];
-        return n;
     }
 
     /// Removes and returns up to `n` bytes from the front.
@@ -64,11 +61,15 @@ public:
 
     /// read() into a caller-provided vector whose capacity is reused —
     /// the auto-drain delivery path calls this once per committed run, so
-    /// reusing the scratch keeps the receive path allocation-free.
+    /// reusing the scratch keeps the receive path allocation-free. Copies
+    /// at most two contiguous spans.
     std::size_t readInto(std::size_t n, Bytes& out) {
         n = std::min(n, size_);
         out.resize(n);
-        for (std::size_t i = 0; i < n; ++i) out[i] = data_[wrap(head_ + i)];
+        const std::size_t first = std::min(n, capacity() - head_);
+        const auto head = data_.begin() + std::ptrdiff_t(head_);
+        std::copy_n(head, first, out.begin());
+        std::copy_n(data_.begin(), n - first, out.begin() + std::ptrdiff_t(first));
         consume(n);
         return n;
     }
@@ -99,7 +100,8 @@ public:
         TCPLP_ASSERT(newCapacity >= capacity());
         if (newCapacity == capacity()) return;
         Bytes next(newCapacity, 0);
-        for (std::size_t i = 0; i < data_.size(); ++i) next[i] = data_[wrap(head_ + i)];
+        std::rotate_copy(data_.begin(), data_.begin() + std::ptrdiff_t(head_), data_.end(),
+                         next.begin());
         data_ = std::move(next);
         head_ = 0;
     }

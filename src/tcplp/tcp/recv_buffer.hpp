@@ -9,8 +9,17 @@
 // This gives deterministic memory use (the paper's motivation for rejecting
 // FreeBSD's mbuf-chain buffers): buffer space is reserved up front and no
 // packet-heap allocation happens on the receive path.
+//
+// Cost model: the bitmap is indexed from rcv_nxt and works on 64-bit words
+// below its high-water mark (common/bitmap.hpp), so the host cost of one
+// insert, SACK-block scan or out-of-order count grows with the extent of
+// the parked out-of-order data — about one word per 64 bytes from rcv_nxt
+// to the highest parked byte — and not with capacity(). In-order traffic
+// with nothing parked touches only the words of the segment itself. The
+// byte copies in and out of the ring are at most two contiguous spans.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -62,23 +71,22 @@ public:
 
     /// SACK blocks describing buffered out-of-order data, as offsets past
     /// rcv_nxt, at most `maxBlocks` ranges (most recently useful first is
-    /// approximated by lowest-offset first).
+    /// approximated by lowest-offset first). Reads bitmap words from
+    /// rcv_nxt at most up to the highest parked byte.
     std::vector<RecvRange> sackRanges(std::size_t maxBlocks = 3) const {
         std::vector<RecvRange> out;
-        std::size_t i = 0;
         const std::size_t limit = window();
-        while (i < limit && out.size() < maxBlocks) {
-            while (i < limit && !oooMap_.test(i)) ++i;
-            if (i >= limit) break;
-            std::size_t j = i;
-            while (j < limit && oooMap_.test(j)) ++j;
+        for (std::size_t i = oooMap_.findNextSet(0); i < limit && out.size() < maxBlocks;) {
+            const std::size_t j = std::min(oooMap_.findNextClear(i), limit);
             out.push_back(RecvRange{i, j});
-            i = j;
+            i = oooMap_.findNextSet(j);
         }
         return out;
     }
 
-    /// Total out-of-order bytes currently parked past the in-seq data.
+    /// Total out-of-order bytes currently parked past the in-seq data. Reads
+    /// the bitmap words up to the end of the highest parked byte: none when
+    /// nothing is parked.
     std::size_t outOfOrderBytes() const { return oooMap_.popcount(); }
 
     /// Grows the buffer in place (receive-buffer autotuning). In-sequence

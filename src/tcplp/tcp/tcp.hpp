@@ -5,8 +5,11 @@
 // RTT estimation with TCP timestamps, MSS negotiation, out-of-order
 // reassembly, selective ACKs, delayed ACKs, zero-window probes, header
 // prediction, and challenge ACKs. Deliberately omitted, as in the paper:
-// dynamic window scaling (buffers that would need it cannot fit in mote
-// RAM), the urgent pointer, and the SYN-cache/security machinery.
+// the urgent pointer and the SYN-cache/security machinery. The paper also
+// leaves out window scaling, since mote buffers never need more than 16 bits
+// of window; here RFC 7323 scaling and receive-buffer autotuning exist for
+// high-BDP links and are off by default (TcpConfig::windowScaling,
+// TcpConfig::recvBufferMaxBytes).
 //
 // The engine is host-independent (§4.1's portability argument): it touches
 // the outside world only through ip6::NetIf (packets) and sim::Simulator

@@ -2,6 +2,11 @@
 // the segment wire codec.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "tcplp/sim/rng.hpp"
 #include "tcplp/tcp/recv_buffer.hpp"
 #include "tcplp/tcp/segment.hpp"
 #include "tcplp/tcp/send_buffer.hpp"
@@ -140,6 +145,123 @@ TEST(RecvBuffer, ManySegmentReorderingScenario) {
     }
     EXPECT_EQ(committed, 1000u);
     EXPECT_TRUE(matchesPattern(0, rb.read(1000)));
+}
+
+namespace {
+
+// RecvBuffer's scans as they were when they walked the bitmap one bit at a
+// time, copied with the bitmap's test(i) replaced by `held(i)`: the SACK
+// block walk over the advertisable window, and the popcount over every bit.
+template <typename Held>
+std::vector<RecvRange> bitWalkSackRanges(Held held, std::size_t limit,
+                                         std::size_t maxBlocks = 3) {
+    std::vector<RecvRange> out;
+    std::size_t i = 0;
+    while (i < limit && out.size() < maxBlocks) {
+        while (i < limit && !held(i)) ++i;
+        if (i >= limit) break;
+        std::size_t j = i;
+        while (j < limit && held(j)) ++j;
+        out.push_back(RecvRange{i, j});
+        i = j;
+    }
+    return out;
+}
+
+template <typename Held>
+std::size_t bitWalkPopcount(Held held, std::size_t bits) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < bits; ++i) n += held(i);
+    return n;
+}
+
+}  // namespace
+
+TEST(RecvBuffer, ScansMatchTheBitWalkOnAGrown512KiBBuffer) {
+    // A stream cut into random-sized segments arrives with losses resent
+    // 3..100 arrivals later, some duplicates, and resends of what the window
+    // refused, into a buffer that autotunes from 16 KiB to 512 KiB while
+    // data is parked; the application drains at random points. A model of
+    // which stream bytes have arrived gives the bits the old walk read.
+    constexpr std::size_t kStream = 640 * 1024;
+    const Bytes stream = patternBytes(0, kStream);
+    sim::Rng rng(0x5ac);
+
+    std::vector<std::pair<std::size_t, std::size_t>> segs;  // (begin, length)
+    for (std::size_t pos = 0; pos < kStream;) {
+        const std::size_t len = std::min<std::size_t>(1 + rng.uniformInt(1460), kStream - pos);
+        segs.emplace_back(pos, len);
+        pos += len;
+    }
+
+    RecvBuffer rb(16 * 1024);
+    std::vector<bool> arrived(kStream, false);
+    std::size_t rcvNxt = 0;
+    std::size_t appRead = 0;
+    std::size_t readAtGrow = 0;
+    std::size_t nextNew = 0;
+    std::multimap<std::size_t, std::size_t> resend;  // arrival slot -> segment
+    Bytes scratch;
+    for (std::size_t slot = 0; rcvNxt < kStream; ++slot) {
+        SCOPED_TRACE(::testing::Message() << "slot " << slot << " capacity " << rb.capacity());
+        ASSERT_LT(slot, 20 * segs.size());
+        std::size_t idx;
+        if (nextNew < segs.size() && (resend.empty() || resend.begin()->first > slot)) {
+            idx = nextNew++;
+            if (rng.chance(0.06)) {
+                resend.emplace(slot + 3 + rng.uniformInt(98), idx);  // lost
+                continue;
+            }
+            if (rng.chance(0.03)) resend.emplace(slot + 1 + rng.uniformInt(50), idx);
+        } else {
+            ASSERT_FALSE(resend.empty());
+            idx = resend.begin()->second;
+            resend.erase(resend.begin());
+        }
+
+        const auto [segBegin, segLen] = segs[idx];
+        if (segBegin + segLen > rcvNxt) {
+            const std::size_t begin = std::max(segBegin, rcvNxt);  // trim the old prefix
+            const std::size_t len = segBegin + segLen - begin;
+            const std::size_t offset = begin - rcvNxt;
+            const std::size_t win = rb.window();
+            ASSERT_EQ(win, rb.capacity() - (rcvNxt - appRead));
+            const std::size_t kept = offset < win ? std::min(len, win - offset) : 0;
+            if (kept < len) resend.emplace(slot + 1 + rng.uniformInt(50), idx);
+            for (std::size_t i = begin; i < begin + kept; ++i) arrived[i] = true;
+            std::size_t next = rcvNxt;
+            while (next < kStream && arrived[next]) ++next;
+            ASSERT_EQ(rb.insert(offset, BytesView(stream.data() + begin, len)), next - rcvNxt);
+            rcvNxt = next;
+        }
+
+        const auto held = [&](std::size_t i) {
+            return rcvNxt + i < kStream && arrived[rcvNxt + i];
+        };
+        const auto got = rb.sackRanges();
+        const auto want = bitWalkSackRanges(held, rb.window());
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t b = 0; b < got.size(); ++b) {
+            ASSERT_EQ(got[b].begin, want[b].begin) << "block " << b;
+            ASSERT_EQ(got[b].end, want[b].end) << "block " << b;
+        }
+        ASSERT_EQ(rb.outOfOrderBytes(), bitWalkPopcount(held, rb.capacity()));
+
+        if (rng.chance(0.5)) {
+            rb.readInto(std::size_t(rng.uniformInt(rb.readable() + 1)), scratch);
+            ASSERT_TRUE(matchesPattern(appRead, scratch));
+            appRead += scratch.size();
+        }
+        // Grow once the application has read more than a ring's worth since
+        // the last grow, so every ring wraps before it grows.
+        if (appRead - readAtGrow > rb.capacity() && rb.capacity() < 512 * 1024) {
+            rb.grow(2 * rb.capacity());
+            readAtGrow = appRead;
+        }
+    }
+    EXPECT_EQ(rb.capacity(), 512u * 1024);
+    EXPECT_EQ(rb.outOfOrderBytes(), 0u);
+    EXPECT_TRUE(matchesPattern(appRead, rb.read(rb.readable())));
 }
 
 // --- Sequence arithmetic -----------------------------------------------------
