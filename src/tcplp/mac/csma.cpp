@@ -18,13 +18,8 @@ sim::Time ackAirTime(phy::Radio& radio) {
 }  // namespace
 
 CsmaMac::CsmaMac(phy::Radio& radio, CsmaConfig config)
-    : radio_(radio), config_(config) {
-    radio_.setReceiveCallback([this](const Frame& f) { handleFrame(f); });
-    // Hardware auto-ACK pending bit: set when any frame for the polling
-    // sleepy child is held anywhere in the MAC (§3.2).
-    radio_.setPendingBitProvider([this](NodeId src, FrameType) {
-        return isSleepyChild(src) && hasTrafficFor(src);
-    });
+    : radio_(radio), config_(config), timer_(radio.simulator(), [this] { onTimer(); }) {
+    radio_.setClient(this);
 }
 
 void CsmaMac::send(NodeId dst, PacketBuffer payload, SendCallback done) {
@@ -59,30 +54,20 @@ void CsmaMac::send(NodeId dst, PacketBuffer payload, SendCallback done) {
     if (!current_) startNext();
 }
 
-void CsmaMac::sendDataRequest(NodeId parent, std::function<void(bool, bool)> done) {
+void CsmaMac::sendDataRequest(NodeId parent, SendCallback done) {
     SendOp op;
     op.frame.type = FrameType::kDataRequest;
     op.frame.src = id();
     op.frame.dst = parent;
     op.frame.seq = ++txSeq_;
     op.frame.ackRequest = true;
-    op.pollDone = std::move(done);
+    op.done = std::move(done);
     op.indirect = true;  // polls use the rapid-retry policy (§9.5)
     queue_.push_front(std::move(op));
     if (!current_) startNext();
 }
 
 void CsmaMac::registerSleepyChild(NodeId child) { sleepyChildren_.insert(child); }
-
-void CsmaMac::unregisterSleepyChild(NodeId child) {
-    sleepyChildren_.erase(child);
-    // Release anything queued for the (now always-on) child.
-    auto it = indirectQueues_.find(child);
-    if (it == indirectQueues_.end()) return;
-    for (auto& op : it->second) queue_.push_back(std::move(op));
-    indirectQueues_.erase(it);
-    if (!current_) startNext();
-}
 
 std::size_t CsmaMac::indirectQueueDepth(NodeId child) const {
     auto it = indirectQueues_.find(child);
@@ -117,80 +102,91 @@ void CsmaMac::startNext() {
     csmaAttempt();
 }
 
+void CsmaMac::wait(State next, sim::Time delay) {
+    state_ = next;
+    timer_.start(delay);
+}
+
+void CsmaMac::onTimer() {
+    switch (state_) {
+        case State::kBackoff:
+            radio_.setSleeping(false);  // CCA requires the receiver on
+            wait(State::kCca, config_.ccaTime);
+            return;
+        case State::kCca:
+            if (radio_.channelClear()) {
+                transmitCurrent();
+            } else {
+                channelBusy();
+            }
+            return;
+        case State::kAwaitAck:
+            scheduleRetry();
+            return;
+        case State::kRetryDelay:
+            csmaAttempt();
+            return;
+        case State::kTurnaround:
+            // Our own radio may be busy ACKing a frame received during the
+            // turnaround (bidirectional TCP traffic makes this routine on a
+            // relay). The burst degrades to a fresh CSMA ladder for this
+            // frame instead of colliding with our own ACK transmission.
+            if (radio_.txIdle()) {
+                transmitCurrent();
+            } else {
+                csmaAttempt();
+            }
+            return;
+        case State::kIdle:
+        case State::kTransmit:
+            break;
+    }
+    TCPLP_ASSERT(false && "MAC timer fired in a state that does not wait");
+}
+
 void CsmaMac::csmaAttempt() {
     TCPLP_ASSERT(current_);
     const sim::Time backoff =
         sim::Time(simulator().rng().uniformInt(1ULL << current_->be)) * config_.backoffUnit;
-
-    if (!config_.softwareCsma) {
-        // Deaf listening: hardware CSMA parks the radio in a low-power state
-        // during backoff, so incoming frames are missed (§4).
-        radio_.setSleeping(true);
-    } else {
-        radio_.setSleeping(false);
-    }
-
-    backoffTimerStart(backoff);
-}
-
-void CsmaMac::backoffTimerStart(sim::Time backoff) {
-    waitThen(backoff, [this] {
-        radio_.setSleeping(false);  // CCA requires the receiver on
-        waitThen(config_.ccaTime, [this] {
-            if (!current_) return;
-            if (radio_.channelClear()) {
-                transmitCurrent();
-                return;
-            }
-            ++current_->csmaBackoffs;
-            current_->be = std::min(current_->be + 1, config_.maxBe);
-            if (current_->csmaBackoffs > config_.maxCsmaBackoffs) {
-                ++stats_.ccaFailures;
-                scheduleRetry(*current_);
-            } else {
-                csmaAttempt();
-            }
-        });
-    });
-}
-
-void CsmaMac::waitThen(sim::Time delay, std::function<void()> fn) {
-    waitHandle_.cancel();
-    waitHandle_ = simulator().schedule(delay, std::move(fn));
+    // Deaf listening: hardware CSMA parks the radio in a low-power state
+    // during backoff, so incoming frames are missed (§4).
+    radio_.setSleeping(!config_.softwareCsma);
+    wait(State::kBackoff, backoff);
 }
 
 void CsmaMac::transmitCurrent() {
     TCPLP_ASSERT(current_);
-    radio_.transmit(current_->frame, [this](bool radiated) {
-        if (!current_) return;
-        if (!radiated) {
-            // Channel went busy during the frame upload: another CSMA round.
-            ++current_->csmaBackoffs;
-            current_->be = std::min(current_->be + 1, config_.maxBe);
-            if (current_->csmaBackoffs > config_.maxCsmaBackoffs) {
-                ++stats_.ccaFailures;
-                scheduleRetry(*current_);
-            } else {
-                csmaAttempt();
-            }
-            return;
-        }
-        ++stats_.transmissions;
-        ++current_->transmissions;
-        if (!current_->frame.ackRequest) {
-            finishCurrent(true);
-            return;
-        }
-        awaitingAck_ = true;
-        waitThen(config_.turnaround + ackAirTime(radio_) + config_.ackTimeout,
-                 [this] { ackTimedOut(); });
-    });
+    // Set first: an unpowered radio calls radioTxDone(false) before
+    // transmit() returns.
+    state_ = State::kTransmit;
+    radio_.transmit(current_->frame);
 }
 
-void CsmaMac::ackTimedOut() {
-    if (!current_ || !awaitingAck_) return;
-    awaitingAck_ = false;
-    scheduleRetry(*current_);
+void CsmaMac::radioTxDone(bool radiated) {
+    if (state_ != State::kTransmit) return;
+    if (!radiated) {
+        // Channel went busy during the frame upload: another CSMA round.
+        channelBusy();
+        return;
+    }
+    ++stats_.transmissions;
+    ++current_->transmissions;
+    if (!current_->frame.ackRequest) {
+        finishCurrent(true);
+        return;
+    }
+    wait(State::kAwaitAck, config_.turnaround + ackAirTime(radio_) + config_.ackTimeout);
+}
+
+void CsmaMac::channelBusy() {
+    ++current_->csmaBackoffs;
+    current_->be = std::min(current_->be + 1, config_.maxBe);
+    if (current_->csmaBackoffs > config_.maxCsmaBackoffs) {
+        ++stats_.ccaFailures;
+        scheduleRetry();
+    } else {
+        csmaAttempt();
+    }
 }
 
 int CsmaMac::maxRetriesFor(const SendOp& op) const {
@@ -203,7 +199,8 @@ sim::Time CsmaMac::retryDelayFor(const SendOp& op) {
     return simulator().rng().uniformRange(0, d);
 }
 
-void CsmaMac::scheduleRetry(SendOp& op) {
+void CsmaMac::scheduleRetry() {
+    SendOp& op = *current_;
     ++op.retries;
     if (op.retries > maxRetriesFor(op)) {
         finishCurrent(false);
@@ -216,15 +213,13 @@ void CsmaMac::scheduleRetry(SendOp& op) {
     const sim::Time delay = retryDelayFor(op);
     if (!config_.softwareCsma || config_.sleepDuringRetryDelay)
         radio_.setSleeping(true);
-    waitThen(delay, [this] {
-        if (current_) csmaAttempt();
-    });
+    wait(State::kRetryDelay, delay);
 }
 
 void CsmaMac::reset() {
-    waitHandle_.cancel();
+    timer_.stop();
+    state_ = State::kIdle;
     current_.reset();
-    awaitingAck_ = false;
     burstRemaining_ = 0;
     deferStarts_ = false;
     queue_.clear();
@@ -238,8 +233,8 @@ void CsmaMac::finishCurrent(bool success) {
     TCPLP_ASSERT(current_);
     SendOp op = std::move(*current_);
     current_.reset();
-    awaitingAck_ = false;
-    waitHandle_.cancel();
+    state_ = State::kIdle;
+    timer_.stop();
 
     // A failed indirect data frame usually means the sleepy child's listen
     // window closed; park it back in the indirect queue for the next data
@@ -276,7 +271,6 @@ void CsmaMac::finishCurrent(bool success) {
     // arms, and this path is bit-identical to the pre-aggregation MAC.
     const bool burstEligible = success && op.retries == 0 && burstRemaining_ > 0;
     deferStarts_ = burstEligible;
-    if (op.pollDone) op.pollDone(success, lastAckPending_);
     if (op.done) op.done(SendResult{success, op.transmissions});
     deferStarts_ = false;
 
@@ -287,30 +281,24 @@ void CsmaMac::finishCurrent(bool success) {
         queue_.pop_front();
         current_->csmaBackoffs = 0;
         current_->be = config_.minBe;
-        waitThen(config_.turnaround, [this] {
-            if (!current_) return;
-            // Our own radio may be busy ACKing a frame received during the
-            // turnaround (bidirectional TCP traffic makes this routine on a
-            // relay). The burst degrades to a fresh CSMA ladder for this
-            // frame instead of colliding with our own ACK transmission.
-            if (radio_.txIdle()) {
-                transmitCurrent();
-            } else {
-                csmaAttempt();
-            }
-        });
+        wait(State::kTurnaround, config_.turnaround);
         return;
     }
     startNext();
 }
 
-void CsmaMac::handleFrame(const Frame& frame) {
+bool CsmaMac::radioFramePending(NodeId src) {
+    // Set when any frame for the polling sleepy child is held anywhere in
+    // the MAC (§3.2).
+    return isSleepyChild(src) && hasTrafficFor(src);
+}
+
+void CsmaMac::radioReceived(const Frame& frame) {
     radio_.energy().addCpuBusy(config_.cpuPerFrame);
 
     if (frame.type == FrameType::kAck) {
-        if (awaitingAck_ && current_ && frame.src == current_->frame.dst &&
+        if (state_ == State::kAwaitAck && frame.src == current_->frame.dst &&
             frame.seq == current_->frame.seq) {
-            awaitingAck_ = false;
             lastAckPending_ = frame.framePending;
             finishCurrent(true);
         }
@@ -337,10 +325,6 @@ void CsmaMac::handleFrame(const Frame& frame) {
         return;
     }
     lastDeliveredSeq_[frame.src] = frame.seq;
-    deliverData(frame);
-}
-
-void CsmaMac::deliverData(const Frame& frame) {
     if (receiveCallback_) receiveCallback_(frame.src, frame.payload);
 }
 
@@ -350,22 +334,19 @@ void CsmaMac::serveDataRequest(NodeId child) {
 
     // Appendix C: unlike stock OpenThread (one frame per poll), flush the
     // whole queue, chaining frames with the pending bit so the child keeps
-    // listening until the burst ends.
+    // listening until the burst ends. Indirect frames jump the queue (§9.5
+    // improvement: prioritize indirect messages so the child's listen
+    // window is not wasted); moving them from the back keeps their order.
     std::deque<SendOp>& q = it->second;
-    std::size_t remaining = q.size();
-    std::deque<SendOp> batch;
+    bool morePending = false;  // only the burst's last frame clears the bit
     while (!q.empty()) {
-        SendOp op = std::move(q.front());
-        q.pop_front();
-        --remaining;
+        SendOp& op = q.back();
         op.indirect = true;
-        op.frame.framePending = remaining > 0;
-        batch.push_back(std::move(op));
+        op.frame.framePending = morePending;
+        morePending = true;
+        queue_.push_front(std::move(op));
+        q.pop_back();
     }
-    // Indirect frames jump the queue (§9.5 improvement: prioritize indirect
-    // messages so the child's listen window is not wasted).
-    for (auto rit = batch.rbegin(); rit != batch.rend(); ++rit)
-        queue_.push_front(std::move(*rit));
     if (!current_) startNext();
 }
 

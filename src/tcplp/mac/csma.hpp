@@ -17,6 +17,28 @@
 // messaging (§3.2): frames destined to a registered sleepy child are queued
 // until the child polls with an 802.15.4 Data Request; the MAC ACK's
 // "frame pending" bit tells the child whether to stay awake.
+//
+// Control flow is one state machine on one sim::Timer, as in OpenThread's
+// SubMac. The current frame moves through these states:
+//
+//   kBackoff     random CSMA backoff (radio parked if CSMA is deaf)
+//   kCca         clear-channel assessment, ccaTime after the backoff
+//   kTransmit    SPI upload and air time, both owned by the radio
+//   kAwaitAck    turnaround + ACK air time + ackTimeout
+//   kRetryDelay  random delay before a link retry (§7.1)
+//   kTurnaround  an aggregation burst's gap before its next frame
+//
+// With no current frame the MAC is kIdle. Every other state except
+// kTransmit waits on the timer, and onTimer() takes the step its wait ends
+// in. A busy channel, at CCA or at carrier-up, always takes the same step
+// (channelBusy()): the next backoff, or a link retry once maxCsmaBackoffs
+// are spent.
+//
+// The radio calls the MAC through phy::RadioClient, which this class
+// implements privately. radioTxDone ends kTransmit; in any other state it
+// is ignored, which drops the completion of an upload that outlived
+// reset(). radioReceived carries frames and ACKs up. radioFramePending
+// sets the auto-ACK's pending bit for a polling sleepy child.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +114,6 @@ struct MacStats {
     std::uint64_t transmissions = 0;      // frames radiated (incl. retries)
     std::uint64_t retries = 0;            // retransmission attempts
     std::uint64_t ccaFailures = 0;        // channel-access failures
-    std::uint64_t acksSent = 0;
     std::uint64_t dataRequestsHeard = 0;
     std::uint64_t duplicatesSuppressed = 0;
     std::uint64_t aggregatedFrames = 0;   // frames sent without a CSMA ladder
@@ -104,7 +125,7 @@ struct SendResult {
     int transmissions = 0;  // CSMA attempts that radiated the frame
 };
 
-class CsmaMac {
+class CsmaMac : private phy::RadioClient {
 public:
     using SendCallback = std::function<void(const SendResult&)>;
     using ReceiveCallback = std::function<void(NodeId src, const PacketBuffer& payload)>;
@@ -141,12 +162,12 @@ public:
     void setIdleCallback(std::function<void()> cb) { idleCallback_ = std::move(cb); }
 
     /// Called by a duty-cycled child's MAC: emit a Data Request poll to
-    /// `parent` and report whether the parent's ACK had the pending bit.
-    void sendDataRequest(NodeId parent, std::function<void(bool acked, bool pending)> done);
+    /// `parent`. On success, lastAckPending() tells whether the parent's
+    /// ACK had the pending bit.
+    void sendDataRequest(NodeId parent, SendCallback done);
 
     // --- Router-side duty-cycling support (indirect messages, §3.2) ------
     void registerSleepyChild(NodeId child);
-    void unregisterSleepyChild(NodeId child);
     bool isSleepyChild(NodeId child) const { return sleepyChildren_.count(child) > 0; }
     std::size_t indirectQueueDepth(NodeId child) const;
     /// Any frame for `child` anywhere in the MAC (indirect queue, main
@@ -159,14 +180,18 @@ public:
 
     bool busy() const { return current_.has_value() || !queue_.empty(); }
 
-    /// Crash semantics (node reboot): abandons the in-flight frame, cancels
-    /// pending waits, and empties every queue without firing completion
-    /// callbacks. The `!current_` guards on radio done-callbacks make this
-    /// safe even with a frame upload in progress. Sleepy-child registrations
-    /// survive (they model the parent's config, not volatile state).
+    /// Crash semantics (node reboot): abandons the in-flight frame, stops
+    /// the timer, and empties every queue without firing completion
+    /// callbacks. Safe with a frame upload in progress: the MAC ignores a
+    /// radioTxDone outside kTransmit. Sleepy-child registrations survive
+    /// (they model the parent's config, not volatile state).
     void reset();
 
 private:
+    enum class State : std::uint8_t {
+        kIdle, kBackoff, kCca, kTransmit, kAwaitAck, kRetryDelay, kTurnaround
+    };
+
     struct SendOp {
         Frame frame;
         SendCallback done;
@@ -176,19 +201,21 @@ private:
         int retries = 0;
         int transmissions = 0;
         int requeues = 0;        // times returned to the indirect queue
-        std::function<void(bool, bool)> pollDone;  // for data requests
     };
 
+    // phy::RadioClient
+    void radioTxDone(bool radiated) override;
+    void radioReceived(const Frame& frame) override;
+    bool radioFramePending(NodeId src) override;
+
+    void wait(State next, sim::Time delay);
+    void onTimer();
     void startNext();
     void csmaAttempt();
-    void backoffTimerStart(sim::Time backoff);
-    void waitThen(sim::Time delay, std::function<void()> fn);
     void transmitCurrent();
-    void ackTimedOut();
-    void scheduleRetry(SendOp& op);
+    void channelBusy();
+    void scheduleRetry();
     void finishCurrent(bool success);
-    void handleFrame(const Frame& frame);
-    void deliverData(const Frame& frame);
     void serveDataRequest(NodeId child);
     int maxRetriesFor(const SendOp& op) const;
     sim::Time retryDelayFor(const SendOp& op);
@@ -206,8 +233,8 @@ private:
     // sleepy children, far off the dense-mesh hot path.
     RingDeque<SendOp> queue_;
     std::optional<SendOp> current_;
-    sim::EventHandle waitHandle_;  // drives backoff / retry / ack-wait waits
-    bool awaitingAck_ = false;
+    State state_ = State::kIdle;
+    sim::Timer timer_;  // the wait of every state but kIdle and kTransmit
     /// Frames the current channel acquisition may still carry without a
     /// fresh CSMA ladder (config_.aggFrames - 1 at acquisition, counts down).
     int burstRemaining_ = 0;

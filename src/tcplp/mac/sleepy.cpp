@@ -5,7 +5,14 @@
 namespace tcplp::mac {
 
 SleepyMac::SleepyMac(CsmaMac& mac, NodeId parent, SleepyConfig config)
-    : mac_(mac), parent_(parent), config_(config) {
+    : mac_(mac),
+      parent_(parent),
+      config_(config),
+      pollTimer_(mac.simulator(), [this] { poll(); }),
+      listenTimer_(mac.simulator(), [this] {
+          inListenWindow_ = false;
+          pollFinished(gotFrameThisWindow_);
+      }) {
     currentInterval_ = intervalFor();
     mac_.setReceiveCallback([this](NodeId src, const PacketBuffer& payload) {
         gotFrameThisWindow_ = true;
@@ -32,15 +39,6 @@ void SleepyMac::start() {
     scheduleNextPoll();
 }
 
-void SleepyMac::send(NodeId dst, PacketBuffer payload, CsmaMac::SendCallback done) {
-    // Upstream traffic may be sent at any time (§3.2); the CSMA machine
-    // wakes the radio itself, and maybeSleep() re-parks it afterwards.
-    mac_.send(dst, std::move(payload), [this, done = std::move(done)](const SendResult& r) {
-        if (done) done(r);
-        maybeSleep();
-    });
-}
-
 void SleepyMac::setExpectingResponse(bool expecting) {
     if (expecting == expectingResponse_) return;
     expectingResponse_ = expecting;
@@ -63,17 +61,14 @@ sim::Time SleepyMac::intervalFor() const {
 
 void SleepyMac::scheduleNextPoll() {
     if (!started_) return;
-    pollTimer_.cancel();
-    pollTimer_ = mac_.simulator().schedule(intervalFor(), [this] { poll(); });
+    pollTimer_.start(intervalFor());
 }
-
-void SleepyMac::pollNow() { poll(); }
 
 void SleepyMac::poll() {
     ++pollsSent_;
     gotFrameThisWindow_ = false;
-    mac_.sendDataRequest(parent_, [this](bool acked, bool pending) {
-        if (acked && pending) {
+    mac_.sendDataRequest(parent_, [this](const SendResult& r) {
+        if (r.success && mac_.lastAckPending()) {
             enterListenWindow();
         } else {
             pollFinished(gotFrameThisWindow_);
@@ -84,11 +79,7 @@ void SleepyMac::poll() {
 void SleepyMac::enterListenWindow() {
     inListenWindow_ = true;
     mac_.radio().setSleeping(false);
-    listenTimer_.cancel();
-    listenTimer_ = mac_.simulator().schedule(config_.wakeupInterval, [this] {
-        inListenWindow_ = false;
-        pollFinished(gotFrameThisWindow_);
-    });
+    listenTimer_.start(config_.wakeupInterval);
 }
 
 void SleepyMac::pollFinished(bool receivedAnything) {

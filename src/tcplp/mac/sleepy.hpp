@@ -16,8 +16,6 @@
 //                      to smax (Appendix C.2, Fig. 14).
 #pragma once
 
-#include <functional>
-
 #include "tcplp/mac/csma.hpp"
 
 namespace tcplp::mac {
@@ -38,25 +36,16 @@ class SleepyMac {
 public:
     SleepyMac(CsmaMac& mac, NodeId parent, SleepyConfig config = {});
 
-    CsmaMac& link() { return mac_; }
-    NodeId parent() const { return parent_; }
-    const SleepyConfig& config() const { return config_; }
-    SleepyConfig& mutableConfig() { return config_; }
-
-    /// Starts the poll loop and puts the radio to sleep.
+    /// Starts the poll loop and puts the radio to sleep. Upstream frames go
+    /// straight to the CsmaMac at any time (§3.2): its CSMA wakes the radio,
+    /// and its idle callback lets this class park the radio again.
     void start();
-
-    /// Sends a payload upstream (radio wakes just long enough to transmit).
-    void send(NodeId dst, PacketBuffer payload, CsmaMac::SendCallback done = nullptr);
 
     void setReceiveCallback(CsmaMac::ReceiveCallback cb);
 
     /// Transport-layer hint (§9.2): while true, polls run at activeInterval
     /// because a TCP ACK / CoAP response is expected imminently.
     void setExpectingResponse(bool expecting);
-
-    /// Forces an immediate poll (tests / transport fast path).
-    void pollNow();
 
     sim::Time currentSleepInterval() const { return currentInterval_; }
     std::uint64_t pollsSent() const { return pollsSent_; }
@@ -73,8 +62,8 @@ private:
     NodeId parent_;
     SleepyConfig config_;
     CsmaMac::ReceiveCallback upperRx_;
-    sim::EventHandle pollTimer_;
-    sim::EventHandle listenTimer_;
+    sim::Timer pollTimer_;
+    sim::Timer listenTimer_;
     bool started_ = false;
     bool expectingResponse_ = false;
     bool inListenWindow_ = false;

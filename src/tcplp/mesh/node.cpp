@@ -94,8 +94,8 @@ void Node::reboot(sim::Time downtime) {
     down_ = true;
 
     // Volatile state dies with the power rail. Order matters: the radio
-    // first (its done-callbacks are guarded by the MAC's current_ check),
-    // then MAC queues, then the reassembly partials (returning their arena
+    // first (the MAC ignores a transmit completion outside its transmit
+    // state), then MAC queues, then the reassembly partials (returning their arena
     // chunks), then this node's own forwarding state.
     if (radio_) radio_->setPowered(false);
     if (mac_) mac_->reset();
@@ -327,7 +327,7 @@ void Node::sendNextFrame(NodeId nextHop) {
     }
     PacketBuffer payload = std::move(txFrames_[txIndex_]);
     ++txIndex_;
-    macSend(nextHop, std::move(payload), [this, nextHop](const mac::SendResult& r) {
+    mac_->send(nextHop, std::move(payload), [this, nextHop](const mac::SendResult& r) {
         if (!r.success) txIndex_ = txFrames_.size();  // abandon the datagram
         sendNextFrame(nextHop);
     });
@@ -339,14 +339,6 @@ void Node::sendProbe(NodeId neighbor) {
     // but the link-layer ACK (or the exhausted retry ladder) feeds the
     // neighbor table through the MAC's TX-outcome callback.
     mac_->send(neighbor, PacketBuffer{}, nullptr);
-}
-
-void Node::macSend(NodeId dst, PacketBuffer payload, mac::CsmaMac::SendCallback done) {
-    if (sleepy_) {
-        sleepy_->send(dst, std::move(payload), std::move(done));
-    } else {
-        mac_->send(dst, std::move(payload), std::move(done));
-    }
 }
 
 void Node::macInput(NodeId macSrc, const PacketBuffer& macPayload) {
@@ -475,7 +467,7 @@ void Node::forwardRawFragment(const PacketBuffer& macPayload, const lowpan::Frag
         info.offsetBytes + (macPayload.size() - info.headerLen) >= info.datagramSize) {
         route->active = false;
     }
-    macSend(nextHop, std::move(out), nullptr);
+    mac_->send(nextHop, std::move(out), nullptr);
 }
 
 void Node::expireFragRoutes() {

@@ -249,7 +249,6 @@ private:
     void forwardRawFragment(const PacketBuffer& macPayload, const lowpan::FragInfo& info,
                             NodeId macSrc);
     RouteLookupStatus lookupRoute(const ip6::Address& dst, NodeId& nextHop);
-    void macSend(NodeId dst, PacketBuffer payload, mac::CsmaMac::SendCallback done);
     /// Emits an empty-payload unicast toward a dead neighbor; the MAC ACK
     /// (or its absence) is the liveness verdict.
     void sendProbe(NodeId neighbor);

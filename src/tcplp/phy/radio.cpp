@@ -59,17 +59,16 @@ bool Radio::channelClear() const {
     return channel_.clearAt(this);
 }
 
-void Radio::transmit(const Frame& frame, std::function<void(bool)> done) {
+void Radio::transmit(const Frame& frame) {
     TCPLP_ASSERT(state_ != RadioState::kTx);
     TCPLP_ASSERT(!txBusy_);
     if (!powered_) {
         // Unpowered transceiver: fail fast so the MAC backs off/retries.
-        if (done) done(false);
+        if (client_) client_->radioTxDone(false);
         return;
     }
     txBusy_ = true;
     txFrame_ = frame;
-    txDone_ = std::move(done);
     if (state_ == RadioState::kSleep) changeState(RadioState::kListen);
 
     // SPI load: the MCU copies the frame into the radio FIFO. This is the
@@ -84,33 +83,22 @@ void Radio::transmit(const Frame& frame, std::function<void(bool)> done) {
         if (!powered_ || state_ == RadioState::kRx || state_ == RadioState::kTx ||
             !channel_.clearAt(this)) {
             txBusy_ = false;
-            auto cb = std::move(txDone_);
-            txDone_ = nullptr;
-            if (cb) cb(false);
+            if (client_) client_->radioTxDone(false);
             return;
         }
-        radiate(txFrame_, [this] {
-            txBusy_ = false;
-            auto cb = std::move(txDone_);
-            txDone_ = nullptr;
-            if (cb) cb(true);
-        });
+        radiate(txFrame_, true);
     });
 }
 
-void Radio::radiate(const Frame& frame, std::function<void()> airDone) {
+void Radio::radiate(const Frame& frame, bool fromTransmit) {
     TCPLP_ASSERT(state_ != RadioState::kTx);
     changeState(RadioState::kTx);
-    ++framesSent_;
-    // airDone_ is necessarily empty here: it is only non-empty while a
-    // carrier is up (state kTx), and that state is asserted away above.
-    airDone_ = std::move(airDone);
     channel_.startTransmission(this, frame);
-    simulator_.schedule(channel_.frameAirTime(frame), [this] {
+    simulator_.schedule(channel_.frameAirTime(frame), [this, fromTransmit] {
         changeState(idleState());
-        auto cb = std::move(airDone_);
-        airDone_ = nullptr;
-        if (cb) cb();
+        if (!fromTransmit) return;
+        txBusy_ = false;
+        if (client_) client_->radioTxDone(true);
     });
 }
 
@@ -142,8 +130,6 @@ void Radio::airFinished(std::uint64_t txId, const Frame& frame, bool faded) {
     if (state_ == RadioState::kRx) changeState(idleState());
     if (corrupted) return;
 
-    ++framesReceived_;
-
     // Hardware auto-ACK (AACK): fires aTurnaroundTime after the frame, in
     // parallel with the SPI readout below.
     if (autoAck_ && frame.ackRequest && frame.dst == id_ &&
@@ -153,8 +139,7 @@ void Radio::airFinished(std::uint64_t txId, const Frame& frame, bool faded) {
         ack.src = id_;
         ack.dst = frame.src;
         ack.seq = frame.seq;
-        ack.framePending =
-            pendingBitProvider_ ? pendingBitProvider_(frame.src, frame.type) : false;
+        ack.framePending = client_ && client_->radioFramePending(frame.src);
         simulator_.schedule(192, [this, ack = std::move(ack)] {  // aTurnaroundTime = 12 symbols
             // The AACK engine bypasses the frame FIFO, so an in-progress
             // SPI upload (txBusy_) does not block it — only an actually
@@ -162,7 +147,7 @@ void Radio::airFinished(std::uint64_t txId, const Frame& frame, bool faded) {
             if (state_ == RadioState::kSleep || state_ == RadioState::kTx) return;
             if (state_ == RadioState::kRx) rxTxId_ = 0;  // turnaround aborts RX
             ++autoAcksSent_;
-            radiate(ack, nullptr);
+            radiate(ack, false);
         });
     }
 
@@ -176,7 +161,7 @@ void Radio::airFinished(std::uint64_t txId, const Frame& frame, bool faded) {
     // is a copy — init-capture deduces a mutable Frame, keeping the closure
     // nothrow-move-constructible and inside SmallFn's inline storage.
     simulator_.schedule(readout, [this, frame = frame] {
-        if (receiveCallback_) receiveCallback_(frame);
+        if (client_) client_->radioReceived(frame);
     });
 }
 

@@ -12,14 +12,31 @@
 //    modes are implemented so the ablation bench can quantify the fix.
 #pragma once
 
-#include <functional>
-
 #include "tcplp/phy/channel.hpp"
 #include "tcplp/phy/energy.hpp"
 #include "tcplp/phy/frame.hpp"
 #include "tcplp/sim/simulator.hpp"
 
 namespace tcplp::phy {
+
+/// The radio's one client, the MAC above it. Every call arrives from a
+/// simulator event, except radioTxDone(false) for an unpowered radio,
+/// which arrives before transmit() returns.
+class RadioClient {
+public:
+    /// The frame handed to transmit() is finished: `radiated` is true once
+    /// its carrier stops, false if the channel was busy at carrier-up or the
+    /// radio is unpowered.
+    virtual void radioTxDone(bool radiated) = 0;
+    /// A frame that survived geometry, collisions and fading, after its SPI
+    /// readout.
+    virtual void radioReceived(const Frame& frame) = 0;
+    /// The "frame pending" bit for the hardware ACK answering `src`.
+    virtual bool radioFramePending(NodeId src) = 0;
+
+protected:
+    ~RadioClient() = default;
+};
 
 class Radio {
 public:
@@ -47,42 +64,33 @@ public:
 
     /// Moves the radio between SLEEP and LISTEN. Ignored mid-TX/RX.
     void setSleeping(bool sleeping);
-    bool sleeping() const { return state_ == RadioState::kSleep; }
 
     /// Power rail (fault injection). Powering off forces SLEEP, abandons any
     /// in-flight RX lock, and refuses transmissions until powered back on;
     /// setSleeping(false) is a no-op while unpowered. Powering on returns
     /// the transceiver to LISTEN.
     void setPowered(bool on);
-    bool powered() const { return powered_; }
+
+    /// Where transmit completions and received frames go. Without a client
+    /// the radio still transmits, receives and auto-ACKs.
+    void setClient(RadioClient* client) { client_ = client; }
 
     /// Loads the frame over SPI (CPU busy), re-checks the channel at
     /// carrier-up time (as the AT86RF233's TX_ARET sequence does after the
-    /// frame upload), then radiates. `done(true)` fires when the carrier
-    /// stops; `done(false)` fires immediately if the channel was busy or a
-    /// reception was in progress at carrier-up — the MAC should back off.
-    void transmit(const Frame& frame, std::function<void(bool radiated)> done);
-
-    bool transmitting() const { return state_ == RadioState::kTx; }
-    bool receiving() const { return state_ == RadioState::kRx; }
+    /// frame upload), then radiates. The client's radioTxDone(true) follows
+    /// when the carrier stops; radioTxDone(false) comes at once if the
+    /// channel was busy or a reception was in progress at carrier-up — the
+    /// MAC should back off.
+    void transmit(const Frame& frame);
 
     /// Clear-channel assessment (CCA). A sleeping radio cannot sense.
     bool channelClear() const;
 
-    /// Frames that survived geometry, collisions, and fading arrive here
-    /// after the SPI readout delay.
-    void setReceiveCallback(std::function<void(const Frame&)> cb) {
-        receiveCallback_ = std::move(cb);
-    }
-
     /// Hardware acknowledgment (AT86RF233 AACK): unicast frames addressed
     /// to this radio are ACKed aTurnaroundTime after reception, without
-    /// waiting for the MCU to read the frame out over SPI. The MAC supplies
-    /// the "frame pending" bit via the provider (indirect-queue state).
+    /// waiting for the MCU to read the frame out over SPI. The client
+    /// supplies the "frame pending" bit (indirect-queue state).
     void setAutoAck(bool enabled) { autoAck_ = enabled; }
-    void setPendingBitProvider(std::function<bool(NodeId src, FrameType type)> fn) {
-        pendingBitProvider_ = std::move(fn);
-    }
     std::uint64_t autoAcksSent() const { return autoAcksSent_; }
 
     // --- Channel-facing interface -------------------------------------
@@ -90,13 +98,12 @@ public:
     void airCollided();
     void airFinished(std::uint64_t txId, const Frame& frame, bool corrupted);
 
-    std::uint64_t framesSent() const { return framesSent_; }
-    std::uint64_t framesReceived() const { return framesReceived_; }
-
 private:
     void changeState(RadioState next);
     /// Immediate carrier-up for `frame` (caller has done all gating).
-    void radiate(const Frame& frame, std::function<void()> airDone);
+    /// `fromTransmit` is true for transmit()'s frame, whose end of air
+    /// completes it, and false for a hardware auto-ACK.
+    void radiate(const Frame& frame, bool fromTransmit);
     /// The state to return to when idle: LISTEN normally, SLEEP when the
     /// power rail is off.
     RadioState idleState() const { return powered_ ? RadioState::kListen : RadioState::kSleep; }
@@ -112,23 +119,17 @@ private:
     /// measured per-frame time (§6.4).
     double spiMicrosPerByte_ = 21.0;
 
-    std::function<void(const Frame&)> receiveCallback_;
-    std::function<bool(NodeId, FrameType)> pendingBitProvider_;
+    RadioClient* client_ = nullptr;
     bool autoAck_ = true;
     bool powered_ = true;
     bool txBusy_ = false;  // covers the SPI-load + air phases of transmit()
-    // txBusy_ admits at most one transmit() in flight and radiate() asserts
-    // no concurrent carrier, so the pending frame and completion callbacks
-    // live here instead of inside scheduled closures — the event-queue
-    // lambdas capture only `this` and stay within SmallFn's inline storage.
+    // txBusy_ admits at most one transmit() in flight, so the pending frame
+    // lives here instead of inside the scheduled closure — the event-queue
+    // lambdas stay within SmallFn's inline storage.
     Frame txFrame_;
-    std::function<void(bool)> txDone_;
-    std::function<void()> airDone_;
     // Reception attempt tracking (one frame at a time).
     std::uint64_t rxTxId_ = 0;
     bool rxCorrupted_ = false;
-    std::uint64_t framesSent_ = 0;
-    std::uint64_t framesReceived_ = 0;
     std::uint64_t autoAcksSent_ = 0;
 };
 

@@ -28,7 +28,7 @@ void EmbeddedTcpSocket::sendSyn() {
     syn.seq = sndNxt_;
     if (config_.profile == EmbeddedProfile::kUip) syn.mssOption = config_.mss;
     synSent_ = true;
-    awaitingAck_ = true;
+    unacked_ = true;
     inFlightSeq_ = sndNxt_;
     sentAt_ = netif_.simulator().now();
     retransmitted_ = false;
@@ -40,21 +40,21 @@ std::size_t EmbeddedTcpSocket::send(BytesView data) {
     const std::size_t room = config_.sendQueueBytes - sendQueue_.size();
     const std::size_t n = std::min(room, data.size());
     sendQueue_.insert(sendQueue_.end(), data.begin(), data.begin() + long(n));
-    if (established_ && !awaitingAck_) trySendNext();
+    if (established_ && !unacked_) trySendNext();
     return n;
 }
 
 void EmbeddedTcpSocket::close() { closed_ = true; }
 
 void EmbeddedTcpSocket::trySendNext() {
-    if (!established_ || awaitingAck_ || sendQueue_.empty()) return;
+    if (!established_ || unacked_ || sendQueue_.empty()) return;
     const std::size_t len = std::min<std::size_t>(config_.mss, sendQueue_.size());
     inFlight_.assign(sendQueue_.begin(), sendQueue_.begin() + long(len));
     sendQueue_.erase(sendQueue_.begin(), sendQueue_.begin() + long(len));
     inFlightSeq_ = sndNxt_;
     retries_ = 0;
     retransmitted_ = false;
-    awaitingAck_ = true;
+    unacked_ = true;
     transmitCurrent();
 }
 
@@ -69,10 +69,10 @@ void EmbeddedTcpSocket::transmitCurrent() {
 }
 
 void EmbeddedTcpSocket::retransmitTimeout() {
-    if (!awaitingAck_) return;
+    if (!unacked_) return;
     ++retries_;
     if (retries_ > config_.maxRetries) {
-        awaitingAck_ = false;
+        unacked_ = false;
         established_ = false;
         if (onError_) onError_();
         return;
@@ -107,7 +107,7 @@ void EmbeddedTcpSocket::emit(tcp::Segment& seg) {
     p.nextHeader = ip6::kProtoTcp;
     p.payload = seg.encode();
     netif_.sendPacket(std::move(p));
-    netif_.setExpectingResponse(awaitingAck_);
+    netif_.setExpectingResponse(unacked_);
 }
 
 void EmbeddedTcpSocket::updateRtt(sim::Time sample) {
@@ -131,7 +131,7 @@ void EmbeddedTcpSocket::input(const ip6::Packet& packet) {
 
     if (seg.flags.rst) {
         established_ = false;
-        awaitingAck_ = false;
+        unacked_ = false;
         rexmitTimer_.stop();
         if (onError_) onError_();
         return;
@@ -142,7 +142,7 @@ void EmbeddedTcpSocket::input(const ip6::Packet& packet) {
         sndNxt_ = seg.ack;
         rcvNxt_ = seg.seq + 1;
         established_ = true;
-        awaitingAck_ = false;
+        unacked_ = false;
         rexmitTimer_.stop();
         updateRtt(netif_.simulator().now() - sentAt_);
         // ACK the SYN+ACK.
@@ -157,9 +157,9 @@ void EmbeddedTcpSocket::input(const ip6::Packet& packet) {
     if (!established_) return;
 
     // ACK handling: single outstanding segment.
-    if (seg.flags.ack && awaitingAck_ &&
+    if (seg.flags.ack && unacked_ &&
         tcp::seqGe(seg.ack, inFlightSeq_ + std::uint32_t(inFlight_.size()))) {
-        awaitingAck_ = false;
+        unacked_ = false;
         rexmitTimer_.stop();
         sndNxt_ = inFlightSeq_ + std::uint32_t(inFlight_.size());
         stats_.bytesAcked += inFlight_.size();

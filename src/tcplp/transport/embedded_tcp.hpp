@@ -93,7 +93,7 @@ private:
     Bytes inFlight_;                      // the single outstanding segment
     std::uint32_t inFlightSeq_ = 0;
     int retries_ = 0;
-    bool awaitingAck_ = false;
+    bool unacked_ = false;                // inFlight_ awaits its ACK
     sim::Time sentAt_ = 0;
     bool retransmitted_ = false;  // Karn's rule: skip RTT sample
 

@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "radio_probe.hpp"
 #include "tcplp/phy/channel.hpp"
 #include "tcplp/phy/radio.hpp"
 #include "tcplp/sim/simulator.hpp"
@@ -225,23 +226,23 @@ TEST(ChannelEquivalence, MovedRadioIsReindexed) {
     Radio b(simulator, channel, 2, {100, 100});  // far outside a's neighborhood
 
     int got = 0;
-    b.setReceiveCallback([&](const Frame&) { ++got; });
+    test::RadioProbe bProbe(b, [&](const Frame&) { ++got; });
 
     Frame f;
     f.src = 1;
     f.dst = kBroadcast;
     f.payload = toBytes("x");
-    a.transmit(f, nullptr);
+    a.transmit(f);
     simulator.run();
     EXPECT_EQ(got, 0);
 
     b.setPosition({10, 0});  // walks into range; the grid must re-file it
-    a.transmit(f, nullptr);
+    a.transmit(f);
     simulator.run();
     EXPECT_EQ(got, 1);
 
     b.setPosition({100, 100});  // walks away again
-    a.transmit(f, nullptr);
+    a.transmit(f);
     simulator.run();
     EXPECT_EQ(got, 1);
 }

@@ -2,6 +2,10 @@
 // terminals, link retries, duty cycling.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "radio_probe.hpp"
 #include "tcplp/mac/csma.hpp"
 #include "tcplp/mac/sleepy.hpp"
 #include "tcplp/phy/channel.hpp"
@@ -27,14 +31,14 @@ TEST(Channel, DeliversWithinRangeOnly) {
     Radio c(simulator, ch, 3, {30, 0});  // out of range of a
 
     int bGot = 0, cGot = 0;
-    b.setReceiveCallback([&](const Frame&) { ++bGot; });
-    c.setReceiveCallback([&](const Frame&) { ++cGot; });
+    test::RadioProbe bProbe(b, [&](const Frame&) { ++bGot; });
+    test::RadioProbe cProbe(c, [&](const Frame&) { ++cGot; });
 
     Frame f;
     f.src = 1;
     f.dst = kBroadcast;
     f.payload = toBytes("x");
-    a.transmit(f, nullptr);
+    a.transmit(f);
     simulator.run();
     EXPECT_EQ(bGot, 1);
     EXPECT_EQ(cGot, 0);
@@ -49,15 +53,15 @@ TEST(Channel, HiddenSendersCollideAtCommonReceiver) {
     Radio b(simulator, ch, 3, {20, 0});
 
     int rGot = 0;
-    r.setReceiveCallback([&](const Frame&) { ++rGot; });
+    test::RadioProbe rProbe(r, [&](const Frame&) { ++rGot; });
 
     Frame f;
     f.dst = kBroadcast;
     f.payload = patternBytes(0, 50);
     f.src = 1;
-    a.transmit(f, nullptr);
+    a.transmit(f);
     f.src = 3;
-    b.transmit(f, nullptr);  // same instant, can't hear a: overlap at r
+    b.transmit(f);  // same instant, can't hear a: overlap at r
     simulator.run();
     EXPECT_EQ(rGot, 0);
     EXPECT_GE(ch.framesCollided(), 1u);
@@ -71,12 +75,12 @@ TEST(Channel, PerLinkLossDropsFrames) {
     ch.setLinkLoss(1, 2, 1.0);
 
     int got = 0;
-    b.setReceiveCallback([&](const Frame&) { ++got; });
+    test::RadioProbe bProbe(b, [&](const Frame&) { ++got; });
     Frame f;
     f.src = 1;
     f.dst = kBroadcast;
     f.payload = toBytes("y");
-    a.transmit(f, nullptr);
+    a.transmit(f);
     simulator.run();
     EXPECT_EQ(got, 0);
     EXPECT_EQ(ch.framesLostToFading(), 1u);
@@ -89,7 +93,7 @@ TEST(Radio, AutoAckAnswersUnicast) {
     Radio b(simulator, ch, 2, {10, 0});
 
     int acks = 0;
-    a.setReceiveCallback([&](const Frame& f) {
+    test::RadioProbe aProbe(a, [&](const Frame& f) {
         if (f.type == FrameType::kAck) ++acks;
     });
     Frame f;
@@ -97,7 +101,7 @@ TEST(Radio, AutoAckAnswersUnicast) {
     f.dst = 2;
     f.ackRequest = true;
     f.payload = toBytes("data");
-    a.transmit(f, nullptr);
+    a.transmit(f);
     simulator.run();
     EXPECT_EQ(acks, 1);
     EXPECT_EQ(b.autoAcksSent(), 1u);
@@ -111,12 +115,12 @@ TEST(Radio, SleepingRadioMissesFrames) {
     b.setSleeping(true);
 
     int got = 0;
-    b.setReceiveCallback([&](const Frame&) { ++got; });
+    test::RadioProbe bProbe(b, [&](const Frame&) { ++got; });
     Frame f;
     f.src = 1;
     f.dst = kBroadcast;
     f.payload = toBytes("z");
-    a.transmit(f, nullptr);
+    a.transmit(f);
     simulator.run();
     EXPECT_EQ(got, 0);
 }
@@ -186,6 +190,34 @@ TEST(CsmaMac, QueueTransmitsInOrder) {
     p.macA.send(2, toBytes("c"));
     p.simulator.run();
     EXPECT_EQ(got, "abc");
+}
+
+TEST(CsmaMac, ResetDuringUploadLeavesTheNextFrameAlone) {
+    // A node crash during frame 1's SPI upload: the radio still finishes
+    // that upload, and its completion must not be taken for frame 2's.
+    MacPair p;
+    std::vector<std::string> got;
+    p.macB.setReceiveCallback(
+        [&](NodeId, const PacketBuffer& payload) { got.push_back(toPrintable(payload)); });
+    p.macA.send(2, toBytes("frame 1"));
+    while (p.radioA.txIdle()) {
+        ASSERT_GT(p.simulator.pendingEvents(), 0u);
+        p.simulator.run(1);
+    }
+    ASSERT_EQ(p.radioA.state(), RadioState::kListen);  // uploading, not on air yet
+
+    p.radioA.setPowered(false);
+    p.macA.reset();
+    p.radioA.setPowered(true);
+    bool ok = false;
+    p.macA.send(2, toBytes("frame 2"), [&](const mac::SendResult& r) { ok = r.success; });
+    p.simulator.run();
+
+    EXPECT_TRUE(ok);
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got.back(), "frame 2");
+    EXPECT_EQ(p.macA.stats().transmissions, 1u);
+    EXPECT_EQ(p.macA.stats().retries, 0u);
 }
 
 TEST(CsmaMac, RetryDelayBoundsRespected) {
@@ -281,6 +313,36 @@ TEST(SleepyMac, IndirectDeliveryViaPoll) {
     simulator.runUntil(2 * sim::kSecond);
     EXPECT_TRUE(sent);
     EXPECT_EQ(toPrintable(got), "queued frame");
+    EXPECT_EQ(parentMac.indirectQueueDepth(2), 0u);
+}
+
+TEST(SleepyMac, OnePollDrainsTheIndirectQueueInOrder) {
+    sim::Simulator simulator;
+    Channel ch(simulator, 12.0);
+    Radio parentRadio(simulator, ch, 1, {0, 0});
+    Radio leafRadio(simulator, ch, 2, {10, 0});
+    mac::CsmaMac parentMac(parentRadio);
+    mac::CsmaMac leafMac(leafRadio);
+    parentMac.registerSleepyChild(2);
+
+    mac::SleepyConfig sc;
+    sc.policy = mac::PollPolicy::kFixed;
+    sc.sleepInterval = sim::fromMillis(200);
+    mac::SleepyMac sleepy(leafMac, 1, sc);
+    std::string got;
+    sleepy.setReceiveCallback(
+        [&](NodeId, const PacketBuffer& payload) { got += toPrintable(payload); });
+    sleepy.start();
+
+    parentMac.send(2, toBytes("a"));
+    parentMac.send(2, toBytes("b"));
+    parentMac.send(2, toBytes("c"));
+    EXPECT_EQ(parentMac.indirectQueueDepth(2), 3u);
+    // The first poll goes out at 200 ms; the next one cannot come before
+    // the burst's listen window closes and another 200 ms pass.
+    simulator.runUntil(sim::fromMillis(350));
+    EXPECT_EQ(sleepy.pollsSent(), 1u);
+    EXPECT_EQ(got, "abc");
     EXPECT_EQ(parentMac.indirectQueueDepth(2), 0u);
 }
 
