@@ -5,8 +5,7 @@
 //
 // Six flows (mixed uplink/downlink) run from nodes spread across the grid
 // while all 200 radios contend for the medium; the row reports per-flow and
-// aggregate goodput, Jain fairness, and the listener-visit count that shows
-// the index examining neighborhoods instead of all 200 radios.
+// aggregate goodput and Jain fairness.
 #include "bench/driver.hpp"
 
 namespace {
@@ -37,19 +36,14 @@ ScenarioDef def() {
                         first.str("flow" + std::to_string(f) + "_dir").c_str(),
                         sum / double(r.records.size()));
         }
-        double aggregate = 0.0, fairness = 0.0, visits = 0.0, frames = 0.0;
+        double aggregate = 0.0, fairness = 0.0;
         for (const auto& record : r.records) {
             aggregate += record.row.number("aggregate_kbps");
             fairness += record.row.number("jain_fairness");
-            visits += record.row.number("listener_visits");
-            frames += record.row.number("frames_tx");
         }
         const double n = double(r.records.size());
         std::printf("\naggregate %.1f kb/s, Jain fairness %.2f\n", aggregate / n,
                     fairness / n);
-        std::printf("listener visits/frame: %.1f (vs %.0f for a linear scan of 200 "
-                    "radios)\n",
-                    visits / std::max(1.0, frames), 199.0);
     };
     return d;
 }

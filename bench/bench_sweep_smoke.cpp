@@ -1,12 +1,12 @@
 // A small registered scenario grid used as the parallel-runner smoke test:
 // cheap enough for CI to run at --jobs 4, real enough to exercise the full
-// line-topology bulk path on every worker. CI runs
+// line-topology bulk path on every worker thread. CI runs
 //
 //   tcplp_campaign --filter sweep_smoke --jobs 4 --quiet
 //
-// and fails on any worker nonzero exit, on output that differs from the
-// --jobs 1 run, or on a malformed JSON line; the golden corpus pins its
-// rows.
+// and fails on a nonzero exit, on output that differs from the --jobs 1
+// run, or on a malformed JSON line; a ThreadSanitizer build runs it too,
+// and the golden corpus pins its rows.
 #include "bench/driver.hpp"
 
 namespace {

@@ -1,9 +1,9 @@
 // tcplp_campaign: the scenario CLI.
 //
 // Every bench/bench_*.cpp driver is linked in. Expands the selected
-// scenarios' axis grids x seeds into one flat run-point list, shards it
-// across a single pool of forked workers, and emits one JSON object per
-// point (byte-identical for any --jobs N). Usage:
+// scenarios' axis grids x seeds into one flat run-point list, runs it on
+// --jobs threads, and emits one JSON object per point (byte-identical for
+// any --jobs N). Usage:
 //
 //   tcplp_campaign [--list] [--filter SUBSTR] [--subset golden] [--jobs N]
 //                  [--out DIR] [--resume] [--golden DIR] [--check]
@@ -12,7 +12,7 @@
 //   --list      print the selected scenarios with their point counts, exit
 //   --filter    run only scenarios whose name contains SUBSTR
 //   --subset    'golden': the curated fast corpus subset (scenario::goldenSubset)
-//   --jobs N    worker processes across the whole campaign (N >= 1,
+//   --jobs N    threads running points across the whole campaign (N >= 1,
 //               default 1); output is byte-identical to N=1
 //   --out DIR   write per-scenario artifacts + a resume manifest to DIR
 //   --resume    skip points already recorded in DIR's manifest
@@ -232,8 +232,6 @@ int main(int argc, char** argv) {
     const CampaignResult result = runCampaign(defs, options);
     if (!result.ok) {
         std::fprintf(stderr, "campaign failed: %s\n", result.error.c_str());
-        for (const ShardFailure& failure : result.failures)
-            std::fprintf(stderr, "  %s\n", failure.message().c_str());
         return 1;
     }
     if (!quiet) {

@@ -7,8 +7,16 @@
 #include <cstdlib>
 
 namespace tcplp::detail {
+/// What this thread is running, named by a failed invariant (nullptr =
+/// nothing to name). The campaign runner points it at each run point's
+/// description while the point runs, so an abort names its point.
+inline thread_local const char* runningTask = nullptr;
+
 [[noreturn]] inline void assertFail(const char* expr, const char* file, int line) {
-    std::fprintf(stderr, "tcplp invariant failed: %s at %s:%d\n", expr, file, line);
+    // One fprintf, so another thread's output cannot split the line.
+    std::fprintf(stderr, "tcplp invariant failed: %s at %s:%d%s%s\n", expr, file, line,
+                 runningTask != nullptr ? " while running " : "",
+                 runningTask != nullptr ? runningTask : "");
     std::abort();
 }
 }  // namespace tcplp::detail

@@ -49,9 +49,10 @@
 //    it (see arena.hpp). Node owns its arena and its reassembler together,
 //    so the rule holds by member ordering.
 //
-// The refcount is deliberately non-atomic: the simulator is single-threaded,
-// and this buffer is a model of a mote packet heap, not a concurrency
-// primitive.
+// The refcount is deliberately non-atomic: a simulation and every buffer it
+// allocates stay on the thread that built it, and this buffer is a model of
+// a mote packet heap, not a concurrency primitive. stats() counts the
+// calling thread's buffers.
 #pragma once
 
 #include <cstddef>
@@ -327,7 +328,7 @@ private:
     std::size_t off_ = 0;
     std::size_t len_ = 0;
 
-    static inline PacketBufferStats stats_{};
+    static inline thread_local PacketBufferStats stats_{};
 };
 
 }  // namespace tcplp

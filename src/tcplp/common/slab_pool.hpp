@@ -13,11 +13,11 @@
 //
 // ## Activation model (why blocks do not remember their pool)
 //
-// A pool is *installed* as the process-wide active recycler (stack
-// discipline: install saves the previous pool, uninstall restores it).
-// sim::Simulator installs one for its lifetime, which is what makes the
-// recycler "per-simulation" without threading a pool pointer through every
-// layer. Crucially, a block does NOT record which pool it came from:
+// A pool is *installed* as its thread's active recycler (stack discipline:
+// install saves the previous pool, uninstall restores it). sim::Simulator
+// installs one for its lifetime, which is what makes the recycler
+// "per-simulation" without threading a pool pointer through every layer.
+// Crucially, a block does NOT record which pool it came from:
 //
 //  * acquire() pops from the active pool's free list, or heap-allocates a
 //    block of the exact class size.
@@ -31,14 +31,18 @@
 // a missed recycle. uninstall() additionally unlinks the pool from the
 // middle of the active chain, so destruction order never dangles.
 //
-// Single-threaded by design, like the rest of the simulator: the active
-// pointer is deliberately not atomic. Sharded sweeps isolate by process.
+// The install chain is per thread, so simulations on different threads
+// recycle through their own pools. A pool is uninstalled on the thread that
+// installed it: the chain that holds it is that thread's, and uninstall()
+// asserts it finds the pool there.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
+
+#include "tcplp/common/assert.hpp"
 
 namespace tcplp {
 
@@ -65,11 +69,12 @@ public:
     SlabPool(const SlabPool&) = delete;
     SlabPool& operator=(const SlabPool&) = delete;
 
-    /// The pool acquire/release currently route through (nullptr = heap).
+    /// The pool acquire/release on this thread currently route through
+    /// (nullptr = heap).
     static SlabPool* active() { return active_; }
 
-    /// Installs this pool as the active recycler, stacking on any current
-    /// one. Idempotent per pool (a second install is ignored).
+    /// Installs this pool as this thread's active recycler, stacking on any
+    /// current one. Idempotent per pool (a second install is ignored).
     void install() {
         if (installed_) return;
         installed_ = true;
@@ -93,6 +98,7 @@ public:
                 return;
             }
         }
+        TCPLP_ASSERT(false && "SlabPool uninstalled off the thread that installed it");
     }
 
     /// Rounds a block size up to its size class. Sizes above the largest
@@ -185,7 +191,7 @@ private:
     bool installed_ = false;
     SlabPool* prev_ = nullptr;
 
-    static inline SlabPool* active_ = nullptr;
+    static inline thread_local SlabPool* active_ = nullptr;
 };
 
 }  // namespace tcplp

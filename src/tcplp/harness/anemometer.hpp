@@ -57,7 +57,7 @@ struct AnemometerResult {
     /// Fig. 10: per-hour mean radio duty cycle (diurnal runs only).
     std::vector<double> hourlyRadioDutyCycle;
     /// Rng::stateDigest at run end; sweep determinism tests compare runs
-    /// executed serially vs sharded across workers through this.
+    /// executed serially vs on worker threads through this.
     std::uint64_t rngDigest = 0;
 };
 

@@ -97,9 +97,11 @@ struct NodeStats {
     /// Datagrams lost to reassembly buffer pressure: arena exhaustion plus
     /// partial-slot exhaustion (mirrors Reassembler stats).
     std::uint64_t reassemblyOverflowDrops = 0;
-    /// PacketBuffer::prepend slow paths this node's 6LoWPAN encoder hit
-    /// (headroom exhausted, storage reallocated through the slab pool).
-    /// The TCP/IPHC headroom budget keeps this at 0 on the hot path.
+    /// PacketBuffer::prepend slow paths this node's 6LoWPAN encoder hit:
+    /// the datagram's storage was shared or short of headroom, so the
+    /// header went in front of a copy in a fresh slab-pool block. Relays
+    /// take this path for datagrams whose storage another holder still
+    /// shares, so multihop runs count many (CityScale.DatapathCounters).
     std::uint64_t prependFallbacks = 0;
     /// High-water mark of the reassembly arena, in bytes (Tables 3/4:
     /// genuine buffer pressure, not elastic heap growth).

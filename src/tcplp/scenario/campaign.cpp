@@ -1,12 +1,17 @@
 #include "tcplp/scenario/campaign.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <system_error>
+#include <thread>
 
 #include "tcplp/common/assert.hpp"
-#include "tcplp/scenario/shard.hpp"
 #include "tcplp/scenario/workloads.hpp"
 
 namespace tcplp::scenario {
@@ -82,12 +87,13 @@ CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
                            const CampaignOptions& options) {
     CampaignResult result;
     const FlatPlan plan = expandPlan(defs, options.seedOverride);
+    // Row i lands in slot i whichever thread ran it, so the merge below
+    // does not depend on scheduling.
+    std::vector<MetricRow> rows(plan.points.size());
+    std::vector<bool> resumed(plan.points.size(), false);
 
     // --- Resume manifest -------------------------------------------------
-    ShardOptions shardOptions;
-    shardOptions.jobs = options.jobs;
     FILE* manifest = nullptr;
-    std::vector<std::pair<std::size_t, MetricRow>> resumedRows;
     if (!options.outDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(options.outDir, ec);
@@ -98,13 +104,8 @@ CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
         }
         const std::string path = options.outDir + "/" + kManifestName;
         const std::string header = manifestHeader(defs, plan);
-        if (options.resume) {
-            resumedRows = loadManifestRows(path, header);
-            shardOptions.skip.assign(plan.points.size(), false);
-            for (const auto& [index, row] : resumedRows) {
-                if (index < plan.points.size()) shardOptions.skip[index] = true;
-            }
-        }
+        std::vector<std::pair<std::size_t, MetricRow>> recorded;
+        if (options.resume) recorded = loadManifestRows(path, header);
         // Always rewrite header + salvaged rows from scratch: this
         // normalizes a manifest whose tail holds a partial frame (the
         // recorder died mid-write), so a later resume never trips over it.
@@ -114,59 +115,88 @@ CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
             return result;
         }
         std::fwrite(header.data(), 1, header.size(), manifest);
-        for (const auto& [index, row] : resumedRows) {
+        for (auto& [index, row] : recorded) {
+            if (index >= rows.size() || resumed[index]) continue;
             const std::string frame = encodeRowFrame(index, row);
             std::fwrite(frame.data(), 1, frame.size(), manifest);
+            rows[index] = std::move(row);
+            resumed[index] = true;
+            ++result.pointsResumed;
         }
         std::fflush(manifest);
     }
 
-    // --- Per-scenario progress -------------------------------------------
-    std::vector<std::size_t> done(defs.size(), 0);
-    for (const auto& [index, row] : resumedRows) {
-        if (index < plan.points.size()) ++done[plan.points[index].defIndex];
-    }
-    result.pointsResumed = resumedRows.size();
-
-    shardOptions.onRow = [&](std::size_t index, const MetricRow& row) {
-        if (manifest != nullptr) {
-            const std::string frame = encodeRowFrame(index, row);
-            std::fwrite(frame.data(), 1, frame.size(), manifest);
-            std::fflush(manifest);  // crash-durable: resume picks it up
+    std::vector<std::size_t> pending;
+    std::vector<std::size_t> done(defs.size(), 0);  // per-scenario progress
+    for (std::size_t i = 0; i < plan.points.size(); ++i) {
+        if (resumed[i]) {
+            ++done[plan.points[i].defIndex];
+        } else {
+            pending.push_back(i);
         }
-        const std::size_t d = plan.points[index].defIndex;
-        ++done[d];
-        ++result.pointsRun;
-        if (options.progress && done[d] == plan.defPointCounts[d]) {
-            std::fprintf(stderr, "[campaign] %-24s done (%zu points)\n",
-                         defs[d].name.c_str(), plan.defPointCounts[d]);
+    }
+
+    // --- Run the pending points --------------------------------------------
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex recordMutex;  // guards manifest, done, result.pointsRun/error
+    const auto fail = [&](const std::string& task, const char* what) {
+        detail::runningTask = nullptr;
+        failed = true;
+        const std::lock_guard lock(recordMutex);
+        if (result.error.empty())
+            result.error = "failed while running " + task + ": " + what;
+    };
+    // Every thread, the calling one included, takes the next pending point
+    // until none is left or one has failed.
+    const auto runPoints = [&] {
+        std::string task;
+        try {
+            for (std::size_t p = next++; p < pending.size() && !failed; p = next++) {
+                const std::size_t i = pending[p];
+                const std::size_t d = plan.points[i].defIndex;
+                task = describePoint(defs[d], plan.points[i].point, plan.defPointCounts[d]);
+                detail::runningTask = task.c_str();
+                rows[i] = runPointRow(defs[d], plan.points[i].point);
+                detail::runningTask = nullptr;
+
+                const std::lock_guard lock(recordMutex);
+                if (manifest != nullptr) {
+                    const std::string frame = encodeRowFrame(i, rows[i]);
+                    std::fwrite(frame.data(), 1, frame.size(), manifest);
+                    std::fflush(manifest);  // crash-durable: resume picks it up
+                }
+                ++result.pointsRun;
+                if (++done[d] == plan.defPointCounts[d] && options.progress) {
+                    std::fprintf(stderr, "[campaign] %-24s done (%zu points)\n",
+                                 defs[d].name.c_str(), plan.defPointCounts[d]);
+                }
+            }
+        } catch (const std::exception& e) {
+            fail(task, e.what());
+        } catch (...) {
+            fail(task, "non-standard exception");
         }
     };
-
-    ShardOutcome outcome = runShardedTasks(
-        plan.points.size(),
-        [&](std::size_t i) {
-            return runPointRow(defs[plan.points[i].defIndex], plan.points[i].point);
-        },
-        [&](std::size_t i) {
-            const FlatPoint& fp = plan.points[i];
-            return describePoint(defs[fp.defIndex], fp.point,
-                                 plan.defPointCounts[fp.defIndex]);
-        },
-        shardOptions);
+    const std::size_t threads =
+        std::min<std::size_t>(std::size_t(std::max(options.jobs, 1)),
+                              std::max<std::size_t>(pending.size(), 1));
+    {
+        std::vector<std::jthread> helpers;  // joined when this scope ends
+        for (std::size_t t = 1; t < threads; ++t) {
+            try {
+                helpers.emplace_back(runPoints);
+            } catch (const std::system_error&) {
+                break;  // no more threads: the running ones share the rest
+            }
+        }
+        runPoints();
+    }
     if (manifest != nullptr) std::fclose(manifest);
-    result.failures = std::move(outcome.failures);
-    if (!outcome.ok) {
-        result.error = outcome.error;
+    if (failed) {
         if (options.progress)
             std::fprintf(stderr, "[campaign] FAILED: %s\n", result.error.c_str());
         return result;
-    }
-
-    // Merge resumed rows into the gaps the shard pool skipped.
-    for (auto& [index, row] : resumedRows) {
-        if (index < plan.points.size() && !outcome.produced[index])
-            outcome.rows[index] = std::move(row);
     }
 
     // --- Registry-order scenario assembly --------------------------------
@@ -177,7 +207,7 @@ CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
         for (std::size_t k = 0; k < plan.defPointCounts[d]; ++k) {
             const std::size_t global = plan.defOffsets[d] + k;
             scenario.records.push_back(
-                RunRecord{plan.points[global].point, std::move(outcome.rows[global])});
+                RunRecord{plan.points[global].point, std::move(rows[global])});
         }
         result.scenarios.push_back(std::move(scenario));
     }
@@ -241,7 +271,7 @@ constexpr GoldenEntry kGoldenEntries[] = {
      +[](ScenarioDef& d) {
          // The full scenario is a 1,024-node grid; the corpus pins a
          // 120-node, 15-second run — same code paths (slab pool, batched
-         // delivery, datapath counter rows), CI-sized wall cost.
+         // delivery, 24 flows), CI-sized wall cost.
          d.base = cityScaleSpec(15 * sim::kSecond, 120);
      }},
     // High-BDP frontier scenarios: pin RFC 7323 negotiation, shift-aware

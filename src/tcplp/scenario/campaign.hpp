@@ -1,17 +1,20 @@
 // Scenario runner + golden-run regression corpus.
 //
 // runCampaign is the one way scenarios run. It flattens EVERY selected
-// scenario's axis grid x seeds into one global run-point list and shards
-// that across a single pool of forked workers — a worker executes points
-// from different scenarios back-to-back, so a registry full of small grids
-// keeps all cores busy instead of draining one scenario at a time. The
-// merge is deterministic (selection order across scenarios, grid order
-// within), so campaign output is byte-identical for any --jobs N.
+// scenario's axis grid x seeds into one global run-point list, and `jobs`
+// threads (the calling one included) each take the next pending point until
+// none is left — a thread executes points from different scenarios
+// back-to-back, so a registry full of small grids keeps all cores busy
+// instead of draining one scenario at a time. Each point builds, runs and
+// tears down its simulation on the thread that took it, and its row goes
+// into the point's own slot, so the merge is deterministic (selection
+// order across scenarios, grid order within) and campaign output is
+// byte-identical for any --jobs N.
 //
 // Rows carry only simulation outputs — deterministic functions of
-// (spec, seed); host timing belongs to the repository benchmark
-// (benchmark/). That is what makes the output a cross-refactor
-// determinism oracle, every field of every row included:
+// (spec, seed); host timing and host work counters belong to the
+// repository benchmark (benchmark/). That is what makes the output a
+// cross-refactor determinism oracle, every field of every row included:
 //
 //  * --golden DIR writes one JSON-lines artifact per scenario (every
 //    MetricRow, including each point's rng_digest).
@@ -21,18 +24,24 @@
 //  * The checked-in golden/ corpus pins a curated fast subset
 //    (goldenSubset()), which CI re-checks on every push.
 //
+// Failures: the first point that throws fails the run with an error naming
+// that point, and no further point starts. A failed TCPLP_ASSERT aborts the
+// process, and its message names the point the thread was running.
+//
 // Resumability: with an output directory configured, every completed point
-// is appended to MANIFEST (the exact row-frame encoding) as it lands.
-// Resuming skips completed points and merges their recorded rows — the
-// final output is byte-identical to an uninterrupted run.
+// is appended to MANIFEST (the exact row-frame encoding) as it lands, so a
+// run killed by a signal keeps its finished points. Resuming skips
+// completed points and merges their recorded rows — the final output is
+// byte-identical to an uninterrupted run.
 #pragma once
 
-#include "tcplp/scenario/shard.hpp"
 #include "tcplp/scenario/sweep.hpp"
 
 namespace tcplp::scenario {
 
 struct CampaignOptions {
+    /// Threads running points, the calling one included (<= 1: the
+    /// calling thread alone); clamped to the number of pending points.
     int jobs = 1;
     /// Directory for artifacts + the resume manifest ("" = keep in memory).
     std::string outDir{};
@@ -45,8 +54,7 @@ struct CampaignOptions {
 
 struct CampaignResult {
     bool ok = false;
-    std::string error;
-    std::vector<ShardFailure> failures;   // dead workers, attributed to points
+    std::string error;  // "failed while running <point>: <what()>", or I/O
     std::vector<SweepResult> scenarios;   // selection order
     std::size_t pointsRun = 0;
     std::size_t pointsResumed = 0;  // skipped via the manifest
@@ -56,9 +64,10 @@ struct CampaignResult {
     std::string jsonLines() const;
 };
 
-/// Runs every def's full grid through one shared worker pool. Defs are
-/// copied in (the golden subset trims registered defs); selection order is
-/// preserved in the result.
+/// Runs every def's full grid on `options.jobs` threads. Defs are copied
+/// in (the golden subset trims registered defs); selection order is
+/// preserved in the result. A def's bind and measure hooks run on those
+/// threads, so they must not share mutable state between points.
 CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
                            const CampaignOptions& options = {});
 

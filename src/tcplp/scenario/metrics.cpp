@@ -27,8 +27,8 @@ bool MetricValue::operator==(const MetricValue& o) const {
         case Kind::kInt: return i_ == o.i_;
         case Kind::kUint: return u_ == o.u_;
         case Kind::kDouble:
-            // Bitwise comparison: the determinism tests compare rows that
-            // crossed the worker pipe against rows computed in-process.
+            // NaN equals NaN: the determinism tests compare rows read back
+            // from a manifest against rows computed in-process.
             return (std::isnan(d_) && std::isnan(o.d_)) || d_ == o.d_;
         case Kind::kBool: return b_ == o.b_;
         case Kind::kString: return s_ == o.s_;
@@ -143,8 +143,8 @@ void appendFrameField(std::string& out, const std::string& key, const MetricValu
         case MetricValue::Kind::kDouble: {
             // The frame encoding is distinct from the JSON rendering:
             // non-finite values must survive the round trip exactly (JSON
-            // folds them all to null), or sharded presenter arithmetic would
-            // diverge from the serial run.
+            // folds them all to null), or presenter arithmetic over resumed
+            // rows would diverge from the uninterrupted run.
             const double d = v.asDouble();
             out += "d " + key + ' ';
             if (std::isnan(d)) {
@@ -219,21 +219,12 @@ std::string encodeRowFrame(std::size_t index, const MetricRow& row) {
 }
 
 bool drainRowFrames(std::string& buffer,
-                    std::vector<std::pair<std::size_t, MetricRow>>& rows,
-                    const std::function<void(std::size_t)>& onBegin,
-                    const std::function<void(std::size_t)>& onRowParsed) {
+                    std::vector<std::pair<std::size_t, MetricRow>>& rows) {
     for (;;) {
         // A frame is (1 + nfields) lines; wait until all of them arrived.
         const std::size_t headerEnd = buffer.find('\n');
         if (headerEnd == std::string::npos) return true;
         const std::string header = buffer.substr(0, headerEnd);
-        if (header.rfind("BEGIN ", 0) == 0) {
-            std::size_t index = 0;
-            if (std::sscanf(header.c_str(), "BEGIN %zu", &index) != 1) return false;
-            if (onBegin) onBegin(index);
-            buffer.erase(0, headerEnd + 1);
-            continue;
-        }
         if (header.rfind("ROW ", 0) != 0) return false;
         std::size_t index = 0, nfields = 0;
         if (std::sscanf(header.c_str(), "ROW %zu %zu", &index, &nfields) != 2)
@@ -262,7 +253,6 @@ bool drainRowFrames(std::string& buffer,
         }
         rows.emplace_back(index, std::move(row));
         buffer.erase(0, pos);
-        if (onRowParsed) onRowParsed(index);
     }
 }
 

@@ -7,17 +7,17 @@
 //
 // Rows carry only simulation outputs: every field is a deterministic
 // function of (spec, seed), and the golden corpus pins every field of
-// every row. Host timing (wall clock, rates, allocation counts) belongs to
-// the repository benchmark (benchmark/), never to a scenario row.
+// every row. Host timing and host work counters (wall clock, rates,
+// allocation counts, pool recycling, listener visits) belong to the
+// repository benchmark (benchmark/), never to a scenario row.
 //
 // Determinism contract: doubles are rendered shortest-round-trip
-// (std::to_chars), so a row that crosses a campaign worker's pipe as text
+// (std::to_chars), so a row read back from a campaign manifest as text
 // reparses to the bit-identical value and re-renders to the same bytes.
-// This is what makes `--jobs N` output byte-identical to `--jobs 1`.
+// This is what makes a resumed run byte-identical to an uninterrupted one.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,7 +51,7 @@ public:
 
 private:
     // Plain members (not a union): rows are small and short-lived, and the
-    // worker-pipe decode path copies values type-agnostically.
+    // manifest decode path copies values type-agnostically.
     Kind kind_ = Kind::kInt;
     std::int64_t i_ = 0;
     std::uint64_t u_ = 0;
@@ -89,9 +89,8 @@ std::string toJsonLine(const MetricRow& row);
 
 // --- Row frame codec --------------------------------------------------------
 //
-// The exact line-based text encoding a MetricRow uses to cross a campaign
-// worker's pipe, and (unchanged) the campaign manifest's completed-point
-// record:
+// The exact line-based text encoding of the campaign manifest's
+// completed-point record:
 //
 //   ROW <index> <nfields>\n
 //   <kind> <key> <value>\n        (kind in {i,u,d,b,s}; value to end of line)
@@ -104,16 +103,9 @@ std::string toJsonLine(const MetricRow& row);
 std::string encodeRowFrame(std::size_t index, const MetricRow& row);
 
 /// Parses complete frames out of `buffer` (consuming them) into `rows`;
-/// leaves any trailing incomplete frame in place. Lines of the form
-/// "BEGIN <index>" are reported through `onBegin` (when non-null) and
-/// consumed — the worker protocol writes one before each run point so the
-/// parent can name the in-flight point of a crashed worker. `onRowParsed`
-/// fires as each complete ROW frame lands, IN STREAM ORDER relative to
-/// onBegin (one drain call may contain several BEGIN/ROW pairs plus a
-/// trailing unanswered BEGIN). Returns false on a malformed frame.
+/// leaves any trailing incomplete frame in place. Returns false on a
+/// malformed frame.
 bool drainRowFrames(std::string& buffer,
-                    std::vector<std::pair<std::size_t, MetricRow>>& rows,
-                    const std::function<void(std::size_t)>& onBegin = nullptr,
-                    const std::function<void(std::size_t)>& onRowParsed = nullptr);
+                    std::vector<std::pair<std::size_t, MetricRow>>& rows);
 
 }  // namespace tcplp::scenario

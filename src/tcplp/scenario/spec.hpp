@@ -8,7 +8,7 @@
 // sweeps (segment size, window, feature ablations). The engine in
 // workloads.cpp turns a spec + seed into a deterministic run; sweep.hpp
 // expands axis grids over specs, and the campaign runner (campaign.hpp)
-// shards the points across worker processes.
+// runs the points on worker threads.
 //
 // Adding a paper figure used to mean a ~150-line driver; with a spec it is
 // a ~15-line registration (see bench/bench_*.cpp).
@@ -76,11 +76,6 @@ struct TopologySpec {
     /// mesh::NeighborConfig's default, 0 = probing off — then only organic
     /// traffic revives a dead neighbor).
     std::optional<sim::Time> probeInterval;
-    /// Emit datapath perf counters (slab-pool recycle/fresh split, SmallFn
-    /// and prepend heap-fallbacks, neighbor-cache rebuild/revalidation) as
-    /// extra row keys. Off by default so legacy rows — and their golden
-    /// artifacts — are unchanged (same pattern as selfHealing).
-    bool datapathCounters = false;
     /// Surface congestion-control dynamics as extra row keys (cwnd summary
     /// stats from the tracer hook plus the strategy's loss_cuts /
     /// cuts_skipped counters). Off by default so legacy rows — and their

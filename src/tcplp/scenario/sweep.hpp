@@ -2,9 +2,9 @@
 //
 // A scenario's axis grid × seed list expands into run points
 // (expandPoints); runCampaign (campaign.hpp) executes the points of every
-// selected scenario through one worker pool and hands each scenario's rows
+// selected scenario on its worker threads and hands each scenario's rows
 // back as a SweepResult in grid order. Each point's RNG stream is keyed on
-// its grid position (sim::Rng::deriveStream), never on the worker that ran
+// its grid position (sim::Rng::deriveStream), never on the thread that ran
 // it, so the rows are byte-identical for any job count.
 #pragma once
 

@@ -208,7 +208,6 @@ ScenarioSpec cityScaleSpec(sim::Time duration, std::size_t nodes) {
     s.topology.nodes = nodes;
     s.topology.retryDelayMax = sim::fromMillis(40);  // §7.1 fix
     s.topology.queueCapacityPackets = 24;
-    s.topology.datapathCounters = true;
     s.workload.kind = WorkloadKind::kMultiFlow;
     s.workload.multiFlowDuration = duration;
     // 24 saturating flows, endpoints spread evenly across the grid interior
@@ -467,7 +466,7 @@ TwoFlowResult runTwoFlow(const ScenarioSpec& spec, std::uint64_t seed) {
 MultiFlowResult runMultiFlow(const ScenarioSpec& spec, std::uint64_t seed) {
     const WorkloadSpec& w = spec.workload;
     TCPLP_ASSERT(!w.flows.empty() && "kMultiFlow needs explicit FlowSpecs");
-    // Process-wide counter baselines (SmallFn / PacketBuffer statics), taken
+    // Per-thread counter baselines (SmallFn / PacketBuffer statics), taken
     // before the testbed exists so the deltas cover the whole run.
     const std::uint64_t smallFnBase = sim::SmallFn::heapFallbacks();
     const std::uint64_t prependBase = PacketBuffer::stats().prependFallbacks;
@@ -529,7 +528,6 @@ MultiFlowResult runMultiFlow(const ScenarioSpec& spec, std::uint64_t seed) {
     }
     r.jainFairness = jainIndex(goodputs);
     r.framesTransmitted = tb->channel().framesTransmitted();
-    r.listenerVisits = tb->channel().channelStats().listenerVisits;
     const SlabPoolStats& pool = tb->simulator().framePool().stats();
     r.datapath.poolRecycled = pool.recycled;
     r.datapath.poolFresh = pool.fresh;
@@ -730,21 +728,7 @@ MetricRow runScenario(const ScenarioSpec& spec, std::uint64_t seed) {
             row.set("aggregate_kbps", r.aggregateKbps)
                 .set("jain_fairness", r.jainFairness)
                 .set("frames_tx", r.framesTransmitted)
-                .set("listener_visits", r.listenerVisits);
-            // Datapath keys exist only when the spec opts in, so legacy
-            // scenario rows (and their golden artifacts) are unchanged.
-            if (spec.topology.datapathCounters) {
-                const DatapathCounters& d = r.datapath;
-                row.set("pool_recycled", d.poolRecycled)
-                    .set("pool_fresh", d.poolFresh)
-                    .set("pool_bytes_recycled", d.poolBytesRecycled)
-                    .set("pool_bytes_fresh", d.poolBytesFresh)
-                    .set("smallfn_heap_fallbacks", d.smallFnHeapFallbacks)
-                    .set("prepend_fallbacks", d.prependFallbacks)
-                    .set("neighbor_rebuilds", d.neighborRebuilds)
-                    .set("neighbor_revalidations", d.neighborRevalidations);
-            }
-            row.set("rng_digest", r.rngDigest);
+                .set("rng_digest", r.rngDigest);
             break;
         }
         case WorkloadKind::kSleepyBulk: {

@@ -55,8 +55,7 @@ ScenarioSpec grid200DenseSpec(sim::Time duration = 90 * sim::kSecond);
 
 /// City-scale grid: `nodes` mesh nodes (default 1,024) with 24 saturating
 /// mixed-direction flows spread evenly across the grid — the megascale
-/// single-core stress the slab-pooled datapath was built for. Emits the
-/// datapath counter row keys (datapathCounters=true).
+/// single-core stress the slab-pooled datapath was built for.
 ScenarioSpec cityScaleSpec(sim::Time duration = 30 * sim::kSecond,
                            std::size_t nodes = 1024);
 
@@ -118,9 +117,10 @@ struct TwoFlowResult {
     std::uint64_t rngDigest = 0;
 };
 
-/// Datapath perf counters collected over one run (deltas for the
-/// process-wide counters, so sequential runs in one process don't bleed
-/// into each other). Surfaced as row keys when datapathCounters is set.
+/// Datapath work counters collected over one run. The SmallFn and prepend
+/// counts are deltas of per-thread counters, so runs before this one on the
+/// same thread do not bleed in. Host work, not simulation output: they are
+/// never row keys (the benchmark's --trace 1 reports them).
 struct DatapathCounters {
     std::uint64_t poolRecycled = 0;        // storage blocks served from free lists
     std::uint64_t poolFresh = 0;           // storage blocks that hit the heap
@@ -143,7 +143,6 @@ struct MultiFlowResult {
     double aggregateKbps = 0.0;
     double jainFairness = 0.0;
     std::uint64_t framesTransmitted = 0;
-    std::uint64_t listenerVisits = 0;
     DatapathCounters datapath{};
     std::uint64_t rngDigest = 0;
 };

@@ -56,8 +56,8 @@ public:
     /// Derives the seed for run point `streamId` of a sweep rooted at
     /// `baseSeed` (a SplitMix64 finalizer over the pair). Sweep runners key
     /// the stream on the point's position in the expanded grid — never on
-    /// which worker process executes it — so sharding a sweep across N
-    /// processes replays the exact RNG streams of the serial run.
+    /// which worker thread executes it — so running a sweep on N threads
+    /// replays the exact RNG streams of the serial run.
     static std::uint64_t deriveStream(std::uint64_t baseSeed, std::uint64_t streamId) {
         std::uint64_t z = baseSeed + 0x9e3779b97f4a7c15ULL * (streamId + 1);
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -61,8 +61,9 @@ public:
 
     void operator()() { ops_->invoke(object()); }
 
-    /// Total callables that did not fit inline (process-wide; benches use
-    /// this to prove the scheduler hot path performs zero heap allocations).
+    /// Total callables constructed on this thread that did not fit inline
+    /// (benches use this to prove the scheduler hot path performs zero heap
+    /// allocations).
     static std::uint64_t heapFallbacks() { return heapFallbacks_; }
 
 private:
@@ -106,7 +107,7 @@ private:
     void* heap_ = nullptr;
     const Ops* ops_ = nullptr;
 
-    static inline std::uint64_t heapFallbacks_ = 0;
+    static inline thread_local std::uint64_t heapFallbacks_ = 0;
 };
 
 }  // namespace tcplp::sim

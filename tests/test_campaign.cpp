@@ -2,14 +2,15 @@
 //
 // The load-bearing guarantees pinned here:
 //
-//  1. Cross-scenario determinism: one worker pool executing points from
-//     DIFFERENT scenarios back-to-back produces output byte-identical to
+//  1. Cross-scenario determinism: worker threads executing points from
+//     DIFFERENT scenarios back-to-back produce output byte-identical to
 //     the serial run, merged registry-order across scenarios and
 //     grid-order within.
 //
-//  2. Resumability: a campaign interrupted by a dying worker resumes from
-//     its manifest (completed points skipped, their recorded rows merged)
-//     and the final output is byte-identical to an uninterrupted run.
+//  2. Resumability: a campaign aborted by a failed invariant names the
+//     point it was running, resumes from its manifest (completed points
+//     skipped, their recorded rows merged), and the final output is
+//     byte-identical to an uninterrupted run.
 //
 //  3. Golden regression: --golden writes per-scenario artifacts, --check
 //     passes against an unchanged tree, a deliberate knob perturbation (an
@@ -18,11 +19,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "tcplp/common/assert.hpp"
 #include "tcplp/scenario/campaign.hpp"
 
 using namespace tcplp;
@@ -43,7 +44,8 @@ std::string scratchDir(const char* name) {
 }
 
 /// Mechanical scenario: rows are pure functions of (axes, seed) — fast, and
-/// any machinery bug (dropped row, reordered merge, worker-state leak)
+/// any machinery bug (dropped row, reordered merge, state leaking between
+/// points)
 /// shows up as a byte diff.
 ScenarioDef mechanicalDef(const std::string& name, double scale) {
     ScenarioDef def;
@@ -89,7 +91,7 @@ TEST(Campaign, CrossScenarioShardingIsByteIdenticalToSerial) {
     serialOpt.jobs = 1;
     CampaignOptions parallelOpt;
     parallelOpt.jobs = 5;  // odd, non-divisor: points from different
-                           // scenarios interleave within one worker
+                           // scenarios interleave within one thread
     const CampaignResult serial = runCampaign(defs, serialOpt);
     const CampaignResult parallel = runCampaign(defs, parallelOpt);
     ASSERT_TRUE(serial.ok) << serial.error;
@@ -124,19 +126,15 @@ TEST(Campaign, SeedOverrideAppliesToEveryScenario) {
 
 namespace {
 
-/// Def whose measure kills the worker (hard _exit, no exception path) on
-/// any point with i >= 2 while the poison flag file exists.
+/// Def whose measure fails an invariant (TCPLP_ASSERT aborts the process)
+/// on any point with i >= 2 while the poison flag file exists.
 ScenarioDef poisonedDef(const std::string& flagPath) {
     ScenarioDef def;
     def.name = "camp_poison";
     def.axes = {{"i", {0, 1, 2, 3, 4, 5}}};
     def.seeds = {3};
     def.measure = [flagPath](const ScenarioSpec&, const Point& p) {
-        if (p.value("i") >= 2 && fs::exists(flagPath)) {
-            std::fprintf(stderr, "poisoned point %d\n", int(p.value("i")));
-            std::fflush(stderr);
-            ::_exit(7);
-        }
+        TCPLP_ASSERT(p.value("i") < 2 || !fs::exists(flagPath));
         MetricRow row;
         row.set("value", 100.0 * p.value("i") + double(p.seed));
         return row;
@@ -152,18 +150,14 @@ TEST(Campaign, ResumeAfterWorkerAbortIsByteIdenticalToUninterrupted) {
     const std::vector<ScenarioDef> defs = {mechanicalDef("camp_a", 2.0),
                                            poisonedDef(flag)};
 
-    // Interrupt: the poisoned points kill their workers partway through.
+    // Interrupt: the first poisoned point aborts the process partway
+    // through, and the abort message names that point.
     std::ofstream(flag) << "1";
     CampaignOptions opt;
     opt.jobs = 2;
     opt.outDir = dir + "/out";
-    const CampaignResult interrupted = runCampaign(defs, opt);
-    ASSERT_FALSE(interrupted.ok);
-    EXPECT_NE(interrupted.error.find("camp_poison"), std::string::npos)
-        << interrupted.error;
-    EXPECT_NE(interrupted.error.find("poisoned point"), std::string::npos)
-        << interrupted.error;
-    ASSERT_GT(interrupted.pointsRun, 0u);  // some points landed in the manifest
+    EXPECT_DEATH(runCampaign(defs, opt),
+                 "invariant failed.* while running scenario 'camp_poison' point [2-5]/6");
 
     // Resume with the poison cleared: completed points are skipped, the
     // rest run, and the merged output matches a fresh uninterrupted run.

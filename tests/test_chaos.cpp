@@ -1,16 +1,17 @@
 // Chaos campaign machinery: fault-aware runs must be byte-reproducible,
-// shard-safe, watchdog-bounded, and actually survive the injected failures.
+// thread-safe, watchdog-bounded, and actually survive the injected failures.
 //
 // The load-bearing guarantees pinned here:
 //
 //  1. Determinism: identical (spec, seed) chaos runs produce byte-identical
-//     rows and RNG digests, and a sharded sweep (--jobs 8) merges to exactly
-//     the serial bytes — fault injection never perturbs reproducibility.
+//     rows and RNG digests, and a sweep on 8 threads (--jobs 8) merges to
+//     exactly the serial bytes — fault injection never perturbs
+//     reproducibility.
 //
 //  2. No chaos run can hang: the progress watchdog converts an intentionally
 //     wedged flow (connection dead, reconnect disabled) into an attributed
-//     failure in BOTH execution modes — serial in-process and forked
-//     workers.
+//     failure, whether the calling thread alone runs the points or worker
+//     threads share them.
 //
 //  3. Survival (the PR's acceptance scenario): a border-router reboot
 //     mid-transfer kills the connection via the tightened R2 budget, the
@@ -75,9 +76,9 @@ ScenarioDef wedgedDef() {
     def.base.fault.maxRetransmits = 2;   // give up during the blackout
     def.base.fault.reconnect = false;    // ... and stay dead
     def.base.fault.watchdogStall = 20 * sim::kSecond;
-    // Two points: the shard runner clamps jobs to the task count, so a
-    // single-seed def would silently fall back to the serial path and never
-    // exercise the forked-worker failure attribution.
+    // Two points: the runner clamps jobs to the point count, so a
+    // single-seed def would run on the calling thread alone and never
+    // exercise a failure on a second thread.
     def.seeds = {1, 2};
     return def;
 }
@@ -132,20 +133,17 @@ TEST(Chaos, ShardedSweepMergesToSerialBytes) {
 TEST(Chaos, WatchdogFailsWedgedFlowInProcess) {
     const CampaignResult r = runCampaign({wedgedDef()});
     ASSERT_FALSE(r.ok);
-    // The serial path wraps the throw into an attributed in-process error.
+    // The runner wraps the throw into an error that names the point.
     EXPECT_NE(r.error.find("chaos watchdog"), std::string::npos) << r.error;
     EXPECT_NE(r.error.find("chaos_wedged"), std::string::npos) << r.error;
 }
 
-TEST(Chaos, WatchdogFailsWedgedFlowAcrossForkedWorkers) {
+TEST(Chaos, WatchdogFailsWedgedFlowOnWorkerThreads) {
     const CampaignResult r = runCampaign({wedgedDef()}, {.jobs = 2});
     ASSERT_FALSE(r.ok);
-    ASSERT_FALSE(r.failures.empty());
-    const ShardFailure& f = r.failures.front();
-    EXPECT_TRUE(f.taskKnown);
-    EXPECT_NE(f.message().find("chaos_wedged"), std::string::npos) << f.message();
-    // The worker's stderr tail carries the watchdog diagnosis.
-    EXPECT_NE(f.message().find("chaos watchdog"), std::string::npos) << f.message();
+    EXPECT_NE(r.error.find("scenario 'chaos_wedged' point "), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("chaos watchdog"), std::string::npos) << r.error;
 }
 
 // The PR's acceptance scenario: border router reboots 4 s into a 2-hop

@@ -1,6 +1,6 @@
 // city_scale scenario + datapath plumbing: reduced-scale determinism
-// (serial == sharded, pinned RNG digest), the datapath counter row keys,
-// the epoch-diffed neighbor-cache revalidation, and the prepend slow path
+// (serial == threaded, pinned RNG digest), the datapath counters, the
+// epoch-diffed neighbor-cache revalidation, and the prepend slow path
 // routing its storage through the slab recycler.
 #include <gtest/gtest.h>
 
@@ -56,25 +56,25 @@ TEST(CityScale, SerialAndShardedSweepsMatch) {
     EXPECT_EQ(serial.jsonLines(), sharded.jsonLines());
 }
 
-TEST(CityScale, DatapathCounterRowKeys) {
-    const MetricRow row = runScenario(reducedCitySpec(), 1);
+TEST(CityScale, DatapathCounters) {
+    const DatapathCounters d = runMultiFlow(reducedCitySpec(), 1).datapath;
     // Steady-state storage comes from the recycler, not the heap: the pool
     // warms up with a bounded set of fresh blocks, then serves from free
     // lists for the rest of the run.
-    EXPECT_GT(row.number("pool_recycled"), 0.0);
-    EXPECT_GT(row.number("pool_fresh"), 0.0);
-    EXPECT_GT(row.number("pool_recycled"), 2.0 * row.number("pool_fresh"));
-    EXPECT_GT(row.number("pool_bytes_recycled"), row.number("pool_bytes_fresh"));
+    EXPECT_GT(d.poolRecycled, 0u);
+    EXPECT_GT(d.poolFresh, 0u);
+    EXPECT_GT(d.poolRecycled, 2 * d.poolFresh);
+    EXPECT_GT(d.poolBytesRecycled, d.poolBytesFresh);
     // Event closures all fit inline. Prepend fallbacks are nonzero by
     // design here: relays re-encode single-frame datagrams whose storage
     // the upstream sender still holds for link retries — a mandatory
     // copy-on-write, counted and slab-served (so it never reaches the
     // heap; see the steady-state alloc bound in tcplp_steady_alloc).
-    EXPECT_EQ(row.number("smallfn_heap_fallbacks"), 0.0);
-    EXPECT_GT(row.number("prepend_fallbacks"), 0.0);
+    EXPECT_EQ(d.smallFnHeapFallbacks, 0u);
+    EXPECT_GT(d.prependFallbacks, 0u);
     // Static grid: each transmitter's candidate cache builds at most once.
-    EXPECT_GT(row.number("neighbor_rebuilds"), 0.0);
-    EXPECT_LE(row.number("neighbor_rebuilds"), 96.0);
+    EXPECT_GT(d.neighborRebuilds, 0u);
+    EXPECT_LE(d.neighborRebuilds, 96u);
 }
 
 TEST(ChannelEpoch, RevalidationSkipsRebuildWhenWindowUnchanged) {

@@ -3,8 +3,8 @@
 // The two load-bearing guarantees of the PR 3 refactor are pinned here:
 //
 //  1. Sweep determinism: the same spec + seed list produces byte-identical
-//     metric JSON at --jobs 1 and --jobs 8 (rows cross the worker pipe and
-//     must round-trip exactly, and the merge must be in grid order).
+//     metric JSON at --jobs 1 and --jobs 8 (the merge must be in grid
+//     order), and rows read back from a resume manifest round-trip exactly.
 //
 //  2. Path equivalence: the declarative engine replays the exact
 //     simulations the hand-rolled pre-refactor bench drivers ran. The
@@ -15,7 +15,9 @@
 //     harness::runAnemometer on both sides; equality there proves the spec
 //     binds the exact same options.
 #include <gtest/gtest.h>
-#include <signal.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "tcplp/app/bulk.hpp"
 #include "tcplp/harness/anemometer.hpp"
@@ -219,7 +221,7 @@ TEST(ScenarioSweep, OddJobCountsAndSeedOverridesStayIdentical) {
     EXPECT_EQ(serial.jsonLines(), parallel.jsonLines());
 }
 
-TEST(ScenarioSweep, NonFiniteMetricsSurviveTheWorkerPipe) {
+TEST(ScenarioSweep, NonFiniteMetricsSurviveTheManifest) {
     ScenarioDef def;
     def.name = "test_nonfinite";
     def.axes = {{"i", {0, 1}}};
@@ -231,18 +233,27 @@ TEST(ScenarioSweep, NonFiniteMetricsSurviveTheWorkerPipe) {
             .set("i", p.value("i"));
         return row;
     };
-    const CampaignResult serialRun = runCampaign({def}, {.jobs = 1});
-    const CampaignResult parallelRun = runCampaign({def}, {.jobs = 2});
-    ASSERT_TRUE(serialRun.ok && parallelRun.ok);
-    const SweepResult& serial = serialRun.scenarios.front();
-    const SweepResult& parallel = parallelRun.scenarios.front();
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-        // In-memory rows must match exactly (inf stays inf, not NaN), so
-        // presenter arithmetic cannot diverge between serial and sharded.
-        EXPECT_TRUE(serial.records[i].row == parallel.records[i].row) << i;
-        EXPECT_TRUE(std::isinf(parallel.records[i].row.number("inf")));
+    const std::string dir = std::string(::testing::TempDir()) + "tcplp_nonfinite_" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    const CampaignResult ranRun = runCampaign({def}, {.jobs = 2, .outDir = dir});
+    // Every point is recorded, so the resumed run reads all of its rows
+    // back from the manifest.
+    const CampaignResult resumedRun =
+        runCampaign({def}, {.jobs = 2, .outDir = dir, .resume = true});
+    ASSERT_TRUE(ranRun.ok && resumedRun.ok);
+    EXPECT_EQ(resumedRun.pointsResumed, 2u);
+    EXPECT_EQ(resumedRun.pointsRun, 0u);
+    const SweepResult& ran = ranRun.scenarios.front();
+    const SweepResult& resumed = resumedRun.scenarios.front();
+    for (std::size_t i = 0; i < ran.records.size(); ++i) {
+        // Decoded rows must match exactly (inf stays inf, not NaN), so
+        // presenter arithmetic cannot diverge between a run and its resume.
+        EXPECT_TRUE(ran.records[i].row == resumed.records[i].row) << i;
+        EXPECT_TRUE(std::isinf(resumed.records[i].row.number("inf")));
     }
-    EXPECT_EQ(serial.jsonLines(), parallel.jsonLines());
+    EXPECT_EQ(ran.jsonLines(), resumed.jsonLines());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioSweep, WorkerFailureSurfacesAsError) {
@@ -259,46 +270,11 @@ TEST(ScenarioSweep, WorkerFailureSurfacesAsError) {
     EXPECT_FALSE(parallel.ok);
     EXPECT_FALSE(parallel.error.empty());
     // The diagnostic names the failing scenario + grid point and carries
-    // the exception text (workers print uncaught what() to the captured
-    // stderr before dying).
+    // the exception text.
     EXPECT_NE(parallel.error.find("test_failure"), std::string::npos) << parallel.error;
     EXPECT_NE(parallel.error.find("i=2"), std::string::npos) << parallel.error;
     EXPECT_NE(parallel.error.find("boom"), std::string::npos) << parallel.error;
-    ASSERT_EQ(parallel.failures.size(), 1u);
-    EXPECT_TRUE(parallel.failures[0].taskKnown);
-    EXPECT_EQ(parallel.failures[0].taskIndex, 2u);
-}
-
-TEST(ScenarioSweep, KilledWorkerIsAttributedToItsRunPoint) {
-    // A worker dying MID-POINT (SIGKILL — no exception, no exit handler:
-    // the OOM-killer shape) must be attributed to the exact scenario and
-    // grid point it was executing, with the stderr it managed to write.
-    ScenarioDef def;
-    def.name = "test_killed";
-    def.axes = {{"i", {0, 1, 2, 3, 4, 5}}};
-    def.seeds = {9};
-    def.measure = [](const ScenarioSpec&, const Point& p) -> MetricRow {
-        if (p.value("i") == 3) {
-            std::fprintf(stderr, "about to die on point three\n");
-            std::fflush(stderr);
-            ::raise(SIGKILL);
-        }
-        MetricRow row;
-        row.set("ok", true);
-        return row;
-    };
-    const CampaignResult parallel = runCampaign({def}, {.jobs = 3});
-    ASSERT_FALSE(parallel.ok);
-    EXPECT_NE(parallel.error.find("signal 9"), std::string::npos) << parallel.error;
-    EXPECT_NE(parallel.error.find("test_killed"), std::string::npos) << parallel.error;
-    EXPECT_NE(parallel.error.find("i=3"), std::string::npos) << parallel.error;
-    EXPECT_NE(parallel.error.find("seed=9"), std::string::npos) << parallel.error;
-    EXPECT_NE(parallel.error.find("about to die on point three"), std::string::npos)
-        << parallel.error;
-    ASSERT_EQ(parallel.failures.size(), 1u);
-    EXPECT_TRUE(parallel.failures[0].taskKnown);
-    EXPECT_EQ(parallel.failures[0].taskIndex, 3u);
-    EXPECT_NE(parallel.failures[0].stderrTail.find("about to die"), std::string::npos);
+    EXPECT_NE(parallel.error.find("point 2/4"), std::string::npos) << parallel.error;
 }
 
 // --- Path equivalence vs the pre-refactor drivers --------------------------
