@@ -3,10 +3,12 @@
 // The paper reports ROM and RAM per module on TinyOS/RIOT; our analogue is
 // the in-memory size of the protocol objects: the Tcb (protocol state), the
 // full active socket (protocol + timers + callbacks), the passive socket,
-// and the configured buffers. The headline claim to reproduce: active
-// connection state is a few hundred bytes — ~1-2% of mote RAM — while
-// buffers dominate (§4.2, §4.3). The reassembly-arena pressure runs put
-// genuine buffer pressure (drops, high-water marks) behind the numbers.
+// and the configured buffers. `socket_bytes` counts the socket's five
+// 16-byte sim::Timers; their callbacks live in the simulator's event pool.
+// The headline claim to reproduce: active connection state is a few hundred
+// bytes — ~1-2% of mote RAM — while buffers dominate (§4.2, §4.3). The
+// reassembly-arena pressure runs put genuine buffer pressure (drops,
+// high-water marks) behind the numbers.
 #include "bench/driver.hpp"
 
 #include "tcplp/common/arena.hpp"

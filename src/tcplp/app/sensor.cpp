@@ -17,30 +17,27 @@ Bytes makeReading(std::uint16_t nodeId, std::uint32_t seq) {
 
 SensorNode::SensorNode(sim::Simulator& simulator, std::uint16_t nodeId,
                        SensorTransport& transport, SensorConfig config)
-    : simulator_(simulator),
-      nodeId_(nodeId),
+    : nodeId_(nodeId),
       transport_(transport),
       config_(config),
-      queue_(config.queueCapacity) {}
+      queue_(config.queueCapacity),
+      timer_(simulator, [this] { sample(); }) {}
 
 void SensorNode::start() {
-    running_ = true;
-    timer_ = simulator_.schedule(config_.sampleInterval, [this] { sample(); });
+    timer_.start(config_.sampleInterval);
 }
 
 void SensorNode::stop() {
-    running_ = false;
-    timer_.cancel();
+    timer_.stop();
     transport_.setFlushing(true);
     transport_.pump(queue_, stats_);
 }
 
 void SensorNode::sample() {
-    if (!running_) return;
     ++stats_.generated;
     if (!queue_.push(makeReading(nodeId_, nextSeq_++))) ++stats_.queueDrops;
     transport_.pump(queue_, stats_);
-    timer_ = simulator_.schedule(config_.sampleInterval, [this] { sample(); });
+    timer_.start(config_.sampleInterval);
 }
 
 // --- TCP adapter -----------------------------------------------------------

@@ -95,15 +95,13 @@ public:
 private:
     void sample();
 
-    sim::Simulator& simulator_;
     std::uint16_t nodeId_;
     SensorTransport& transport_;
     SensorConfig config_;
     SensorStats stats_;
     ReadingQueue queue_;
     std::uint32_t nextSeq_ = 0;
-    sim::EventHandle timer_;
-    bool running_ = false;
+    sim::Timer timer_;
 };
 
 /// TCP adapter: drains readings into the socket's send buffer. In batching

@@ -4,7 +4,7 @@ namespace tcplp::mesh {
 
 void NeighborTable::onTxOutcome(phy::NodeId neighbor, bool acked) {
     if (!config_.enabled) return;
-    Entry& e = entries_[neighbor];
+    Entry& e = entry(neighbor);
     if (acked) {
         e.consecutiveFailures = 0;
         if (e.dead) {
@@ -17,30 +17,26 @@ void NeighborTable::onTxOutcome(phy::NodeId neighbor, bool acked) {
     if (!e.dead && e.consecutiveFailures >= config_.failureThreshold) {
         e.dead = true;
         ++stats_.deadMarks;
-        armProbe(neighbor);
+        armProbe(e);
     }
 }
 
-void NeighborTable::armProbe(phy::NodeId neighbor) {
-    if (config_.probeInterval <= 0 || !probeSender_) return;
-    Entry& e = entries_[neighbor];
-    if (e.probeArmed) return;
-    e.probeArmed = true;
+void NeighborTable::armProbe(Entry& e) {
+    if (config_.probeInterval <= 0 || !probeSender_ || e.probe.running()) return;
     sim::Time delay = config_.probeInterval;
     if (config_.probeJitterMax > 0)
         delay += probeRng_.uniformRange(0, config_.probeJitterMax);
-    simulator_.schedule(delay, [this, neighbor, epoch = epoch_] {
-        if (epoch != epoch_) return;  // the node rebooted meanwhile
-        const auto it = entries_.find(neighbor);
-        if (it == entries_.end()) return;
-        it->second.probeArmed = false;
-        if (!it->second.dead) return;  // revived by organic traffic
-        ++stats_.probesSent;
-        probeSender_(neighbor);
-        // Keep probing until something gets through. The probe's own MAC
-        // verdict flows back through onTxOutcome like any other payload.
-        armProbe(neighbor);
-    });
+    e.probe.start(delay);
+}
+
+void NeighborTable::onProbeTimer(phy::NodeId neighbor) {
+    Entry& e = entries_.find(neighbor)->second;
+    if (!e.dead) return;  // revived by organic traffic
+    ++stats_.probesSent;
+    probeSender_(neighbor);
+    // Keep probing until something gets through. The probe's own MAC
+    // verdict flows back through onTxOutcome like any other payload.
+    armProbe(e);
 }
 
 }  // namespace tcplp::mesh

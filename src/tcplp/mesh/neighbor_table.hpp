@@ -84,21 +84,25 @@ public:
     void setProbeSender(ProbeSender sender) { probeSender_ = std::move(sender); }
 
     /// Reboot semantics: liveness is volatile state — learned verdicts and
-    /// armed probe timers die with the power rail (the epoch bump strands
-    /// already-scheduled probe closures).
-    void reset() {
-        entries_.clear();
-        ++epoch_;
-    }
+    /// armed probe timers die with the power rail (each entry's probe Timer
+    /// stops as the entry is destroyed).
+    void reset() { entries_.clear(); }
 
 private:
     struct Entry {
+        Entry(NeighborTable& table, phy::NodeId neighbor)
+            : probe(table.simulator_, [&table, neighbor] { table.onProbeTimer(neighbor); }) {}
+
         int consecutiveFailures = 0;
         bool dead = false;
-        bool probeArmed = false;
+        sim::Timer probe;  // next liveness probe while the neighbor is dead
     };
 
-    void armProbe(phy::NodeId neighbor);
+    Entry& entry(phy::NodeId neighbor) {
+        return entries_.try_emplace(neighbor, *this, neighbor).first->second;
+    }
+    void armProbe(Entry& e);
+    void onProbeTimer(phy::NodeId neighbor);
 
     sim::Simulator& simulator_;
     NeighborConfig config_;
@@ -106,7 +110,6 @@ private:
     NeighborTableStats stats_;
     ProbeSender probeSender_;
     std::map<phy::NodeId, Entry> entries_;
-    std::uint64_t epoch_ = 0;
 };
 
 }  // namespace tcplp::mesh

@@ -22,7 +22,11 @@ void WiredLink::transfer(const Node* from, ip6::Packet packet) {
 
 Node::Node(sim::Simulator& simulator, phy::Channel* channel, NodeId id, phy::Position pos,
            NodeConfig config)
-    : simulator_(simulator), id_(id), config_(std::move(config)) {
+    : simulator_(simulator),
+      id_(id),
+      config_(std::move(config)),
+      recoveryTimer_(simulator, [this] { powerUp(); }),
+      txDelayTimer_(simulator, [this] { sendNextFrame(); }) {
     address_ = (config_.role == Role::kCloudHost) ? ip6::Address::cloud(id)
                                                   : ip6::Address::meshLocal(id);
     if (config_.role != Role::kCloudHost) {
@@ -89,7 +93,11 @@ void Node::reboot(sim::Time downtime) {
     TCPLP_ASSERT(config_.role != Role::kCloudHost);
     if (failed_) return;  // a permanently failed node never power-cycles
     ++stats_.reboots;
-    ++rebootEpoch_;  // invalidates closures scheduled before the crash
+    powerDown();
+    recoveryTimer_.start(downtime);  // a reboot during downtime moves the power-up
+}
+
+void Node::powerDown() {
     const bool wasDown = down_;
     down_ = true;
 
@@ -101,6 +109,7 @@ void Node::reboot(sim::Time downtime) {
     if (mac_) mac_->reset();
     if (reassembler_) reassembler_->clear();
     if (queue_) queue_->clear();
+    txDelayTimer_.stop();
     txFrames_.clear();
     txIndex_ = 0;
     txTagActive_ = false;
@@ -113,14 +122,13 @@ void Node::reboot(sim::Time downtime) {
 
     if (!wasDown)
         for (auto& listener : rebootListeners_) listener(true);
+}
 
-    simulator_.schedule(downtime, [this, epoch = rebootEpoch_] {
-        if (epoch != rebootEpoch_) return;  // superseded by a later reboot
-        down_ = false;
-        if (radio_) radio_->setPowered(true);
-        if (sleepy_) sleepy_->start();  // leaf resumes its poll loop
-        for (auto& listener : rebootListeners_) listener(false);
-    });
+void Node::powerUp() {
+    down_ = false;
+    if (radio_) radio_->setPowered(true);
+    if (sleepy_) sleepy_->start();  // leaf resumes its poll loop
+    for (auto& listener : rebootListeners_) listener(false);
 }
 
 void Node::addRoute(ip6::ShortAddr dst, NodeId nextHop) { routes_.setRoute(dst, nextHop); }
@@ -136,23 +144,8 @@ void Node::failPermanently() {
     TCPLP_ASSERT(config_.role != Role::kCloudHost);
     if (failed_) return;
     failed_ = true;
-    ++rebootEpoch_;  // strands any scheduled recovery / delayed sends
-    const bool wasDown = down_;
-    down_ = true;
-    if (radio_) radio_->setPowered(false);
-    if (mac_) mac_->reset();
-    if (reassembler_) reassembler_->clear();
-    if (queue_) queue_->clear();
-    txFrames_.clear();
-    txIndex_ = 0;
-    txTagActive_ = false;
-    draining_ = false;
-    fragRoutes_.clear();
-    if (neighbors_) neighbors_->reset();
-    routes_.resetSelections();
-    if (!wasDown)
-        for (auto& listener : rebootListeners_) listener(true);
-    // No recovery is scheduled: the node is gone for good.
+    recoveryTimer_.stop();  // the node is gone for good
+    powerDown();
 }
 
 void Node::attachWired(WiredLink* link) { wired_ = link; }
@@ -264,48 +257,31 @@ void Node::drainQueue() {
         drainQueue();
         return;
     }
-    const std::optional<NodeId> nextHop = hop;
     // Skip tags adopted by the relay fast path: relayed fragments bypass
     // this queue and can interleave with our own in the MAC, so the two
     // streams must not share a (sender, tag) pair at the receiver.
     const std::uint16_t tag = claimOutgoingTag(std::nullopt);
     currentTxTag_ = tag;
     txTagActive_ = true;  // reserve through any txProcessingDelay
+    // Encode straight into the node's reusable frame list. draining_
+    // serializes datagrams, so txFrames_ is idle here and its capacity (and,
+    // via the slab pool, its frames' storage) is reused from one datagram to
+    // the next.
     const std::uint64_t prependBase = PacketBuffer::stats().prependFallbacks;
+    lowpan::encodeDatagramInto(std::move(packet), id_, hop, tag, config_.macPayloadBudget,
+                               txFrames_);
+    stats_.prependFallbacks += PacketBuffer::stats().prependFallbacks - prependBase;
+    txIndex_ = 0;
+    txHop_ = hop;
     if (config_.txProcessingDelay > 0) {
-        std::vector<PacketBuffer> frames = lowpan::encodeDatagram(
-            std::move(packet), id_, *nextHop, tag, config_.macPayloadBudget);
-        stats_.prependFallbacks += PacketBuffer::stats().prependFallbacks - prependBase;
-        simulator_.schedule(
-            config_.txProcessingDelay,
-            [this, frames = std::move(frames), hop = *nextHop,
-             epoch = rebootEpoch_]() mutable {
-                if (epoch != rebootEpoch_) return;  // node crashed meanwhile
-                sendDatagramFrames(std::move(frames), hop);
-            });
+        txDelayTimer_.start(config_.txProcessingDelay);
         if (radio_) radio_->energy().addCpuBusy(config_.txProcessingDelay / 2);
     } else {
-        // Hot path: encode straight into the node's reusable frame list.
-        // draining_ serializes datagrams, so txFrames_ is idle here and its
-        // capacity (and, via the slab pool, its frames' storage) is reused
-        // from one datagram to the next.
-        lowpan::encodeDatagramInto(std::move(packet), id_, *nextHop, tag,
-                                   config_.macPayloadBudget, txFrames_);
-        stats_.prependFallbacks += PacketBuffer::stats().prependFallbacks - prependBase;
-        txIndex_ = 0;
-        sendNextFrame(*nextHop);
+        sendNextFrame();
     }
 }
 
-void Node::sendDatagramFrames(std::vector<PacketBuffer> frames, NodeId nextHop) {
-    // Datagrams drain one at a time (draining_ serializes), so the in-flight
-    // frame list lives in the node rather than in a self-referencing closure.
-    txFrames_ = std::move(frames);
-    txIndex_ = 0;
-    sendNextFrame(nextHop);
-}
-
-void Node::sendNextFrame(NodeId nextHop) {
+void Node::sendNextFrame() {
     // Transmit fragments in order; a fragment that fails after link retries
     // dooms the datagram — sending the rest is pointless, so drop the
     // remainder (the receiver discards on gap anyway).
@@ -319,17 +295,17 @@ void Node::sendNextFrame(NodeId nextHop) {
     // Dead-next-hop fast drop: if liveness tracking has marked the hop
     // unreachable mid-datagram, abandon the remainder immediately instead
     // of paying a full CSMA retry ladder per frame.
-    if (neighbors_ && config_.neighbor.enabled && !neighbors_->isLive(nextHop)) {
+    if (neighbors_ && config_.neighbor.enabled && !neighbors_->isLive(txHop_)) {
         routes_.noteBlackhole();
         txIndex_ = txFrames_.size();
-        sendNextFrame(nextHop);
+        sendNextFrame();
         return;
     }
     PacketBuffer payload = std::move(txFrames_[txIndex_]);
     ++txIndex_;
-    mac_->send(nextHop, std::move(payload), [this, nextHop](const mac::SendResult& r) {
+    mac_->send(txHop_, std::move(payload), [this](const mac::SendResult& r) {
         if (!r.success) txIndex_ = txFrames_.size();  // abandon the datagram
-        sendNextFrame(nextHop);
+        sendNextFrame();
     });
 }
 

@@ -219,8 +219,8 @@ public:
     /// arena chunks, and the forwarding queue empties — no callbacks fire.
     /// After `downtime` the node powers back up (routes and sleepy-child
     /// registrations survive: they model configuration, not volatile state;
-    /// a leaf resumes its poll loop). A reboot during downtime extends the
-    /// outage (the superseded recovery is ignored via an epoch counter).
+    /// a leaf resumes its poll loop). A reboot during downtime moves the
+    /// power-up to its own deadline.
     void reboot(sim::Time downtime);
     bool isDown() const { return down_; }
 
@@ -240,8 +240,11 @@ private:
     void routePacket(ip6::Packet packet, bool forwarded);
     void enqueueMeshPacket(ip6::Packet packet, NodeId nextHop);
     void drainQueue();
-    void sendDatagramFrames(std::vector<PacketBuffer> frames, NodeId nextHop);
-    void sendNextFrame(NodeId nextHop);
+    void sendNextFrame();
+    /// The teardown shared by reboot() and failPermanently(): drops the
+    /// volatile state and fires the listeners' down edge once per outage.
+    void powerDown();
+    void powerUp();
     /// True if `tag` is the outgoing tag of any datagram this node is
     /// currently relaying or originating (they must stay unique per sender).
     bool outgoingTagInUse(std::uint16_t tag) const;
@@ -280,16 +283,21 @@ private:
     std::uint16_t nextTag_ = 1;
     bool draining_ = false;
     // Fault injection: while down_, every ingress/egress path is a no-op.
-    // The epoch counter invalidates closures scheduled before a reboot
-    // (txProcessingDelay sends, the recovery event of a superseded reboot).
     bool down_ = false;
     bool failed_ = false;  // kNodeFailure: down forever, reboots ignored
-    std::uint64_t rebootEpoch_ = 0;
     std::vector<RebootListener> rebootListeners_;
-    // Frames of the datagram currently draining to the MAC (in order),
-    // and the datagram tag it was encoded with (tag-uniqueness bookkeeping).
+    // Pending power-up of a rebooted node: a later reboot re-arms it,
+    // failPermanently() stops it.
+    sim::Timer recoveryTimer_;
+    // txProcessingDelay between encoding a datagram and handing its first
+    // frame to the MAC; a reboot stops it along with the frames.
+    sim::Timer txDelayTimer_;
+    // Frames of the datagram currently draining to the MAC (in order), their
+    // next hop, and the datagram tag it was encoded with (tag-uniqueness
+    // bookkeeping).
     std::vector<PacketBuffer> txFrames_;
     std::size_t txIndex_ = 0;
+    NodeId txHop_ = 0;
     // Originated-datagram tag reservation: set when the tag is claimed in
     // drainQueue (which may precede transmission by txProcessingDelay) and
     // cleared when the datagram's last frame has drained.

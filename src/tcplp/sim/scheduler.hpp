@@ -1,9 +1,9 @@
 // The discrete-event simulator's ready queue.
 //
-// The Simulator owns a pool of event records (slab-allocated, recycled,
-// generation-counted — see EventPool) and a TimerWheel that orders them:
-// the structure that answers "which pending event fires next?" in the total
-// order (when, then scheduling seq).
+// The Simulator owns a pool of event records (slab-allocated, recycled — see
+// EventPool; a Timer keeps one record for its whole life) and a TimerWheel
+// that orders them: the structure that answers "which pending event fires
+// next?" in the total order (when, then scheduling seq).
 //
 // TimerWheel is a hierarchical timing wheel (Varghese & Lauck), 4 levels x
 // 64 slots with a ~1 ms tick (1024 us, so tick extraction is a shift) and an
@@ -51,19 +51,20 @@ constexpr std::uint32_t kNotQueued = std::numeric_limits<std::uint32_t>::max();
 /// One pooled event. `queuePos` is the wheel bucket holding the record and
 /// doubles as the pending flag (kNotQueued when the record is not
 /// scheduled). `next`/`prev` are the intrusive links of that bucket's list.
+/// `owned` marks a Timer's record, which firing leaves with its Timer.
 struct EventRecord {
     SmallFn fn;
     Time when = 0;
     std::uint64_t seq = 0;
-    std::uint32_t generation = 0;
     std::uint32_t queuePos = kNotQueued;
     std::uint32_t next = kNoSlot;
     std::uint32_t prev = kNoSlot;
+    bool owned = false;
 };
 
 /// Slab-allocated pool of event records: 256-record slabs, never relocated,
 /// recycled through a free list — steady-state scheduling performs zero heap
-/// allocations. Slot reuse is disambiguated by the record's generation.
+/// allocations.
 class EventPool {
 public:
     static constexpr std::uint32_t kSlabBits = 8;
@@ -74,10 +75,6 @@ public:
     }
     const EventRecord& record(std::uint32_t slot) const {
         return slabs_[slot >> kSlabBits][slot & (kSlabSize - 1)];
-    }
-
-    bool contains(std::uint32_t slot) const {
-        return (slot >> kSlabBits) < slabs_.size();
     }
 
     std::uint32_t alloc() {
@@ -92,12 +89,11 @@ public:
         return slot;
     }
 
-    /// Destroys the callback, invalidates outstanding handles, recycles.
+    /// Destroys the callback and recycles the (unqueued) record.
     void release(std::uint32_t slot) {
         EventRecord& rec = record(slot);
         rec.fn.reset();
-        rec.queuePos = kNotQueued;
-        ++rec.generation;
+        rec.owned = false;
         freeList_.push_back(slot);
     }
 

@@ -8,19 +8,21 @@
 // Storage model: events live in a slab-allocated pool (256-record slabs,
 // never relocated, recycled through a free list), so steady-state scheduling
 // performs zero heap allocations. Callbacks with captures up to
-// SmallFn::kInlineBytes are stored inline in the event record. Handles are
-// generation-counted slot references — no shared_ptr/weak_ptr churn per
-// event.
+// SmallFn::kInlineBytes are stored inline in the event record. A one-shot
+// schedule() takes a record and firing returns it. A Timer owns one record,
+// callback included, for its whole life: start() queues it or re-sorts it in
+// place, stop() unqueues it, and firing runs the callback in place, so arming
+// or firing a Timer builds and frees no closure. Timer::stop() is the one
+// way to cancel an event; one-shot events cannot be cancelled.
 //
 // Ordering is the job of the ready queue, a hierarchical TimerWheel
 // (sim/scheduler.hpp) held by value: O(1) insert/cancel/re-arm, built for
 // the timer storms where RTO/delayed-ACK/persist/poll deadlines cluster,
 // and exact in the (when, seq) total order.
 //
-// Lifetime: an EventHandle (and any Timer) must not be used after its
-// Simulator is destroyed. Every component in this codebase owns a
-// `Simulator&` with a strictly longer lifetime, so this is not a practical
-// restriction; it is what buys handles their pointer-free cheapness.
+// Lifetime: a Timer is destroyed before its Simulator, and never from inside
+// its own callback (~Timer asserts the latter). Every component in this
+// codebase owns a `Simulator&` with a strictly longer lifetime.
 #pragma once
 
 #include <cstdint>
@@ -35,38 +37,12 @@
 
 namespace tcplp::sim {
 
-class Simulator;
-
-/// Cancellable handle to a scheduled event. Copies share the same event:
-/// cancelling through any copy cancels it, and once the event fires (or is
-/// cancelled) every copy reports !pending(). Handles stay cheap (16 bytes,
-/// no refcount) because slot reuse is disambiguated by a generation counter.
-class EventHandle {
-public:
-    EventHandle() = default;
-
-    /// Cancels the event if it has not fired yet. Safe to call repeatedly.
-    inline void cancel();
-
-    /// True if the event is still scheduled and will fire.
-    inline bool pending() const;
-
-private:
-    friend class Simulator;
-    EventHandle(Simulator* simulator, std::uint32_t slot, std::uint32_t generation)
-        : simulator_(simulator), slot_(slot), generation_(generation) {}
-
-    Simulator* simulator_ = nullptr;
-    std::uint32_t slot_ = 0;
-    std::uint32_t generation_ = 0;
-};
-
 /// Counters describing scheduler behavior, exported for benches/tests.
 struct SchedulerStats {
-    std::uint64_t scheduled = 0;    // schedule/scheduleAt calls
-    std::uint64_t rescheduled = 0;  // in-place deadline updates (Timer re-arm)
+    std::uint64_t scheduled = 0;    // one-shots and starts of an idle Timer
+    std::uint64_t rescheduled = 0;  // in-place deadline updates (pending Timer re-arm)
     std::uint64_t fired = 0;
-    std::uint64_t cancelled = 0;
+    std::uint64_t cancelled = 0;    // pending events unqueued without firing
     std::size_t poolCapacity = 0;  // event records currently allocated
 };
 
@@ -86,41 +62,19 @@ public:
     Time now() const { return now_; }
     Rng& rng() { return rng_; }
 
-    /// Schedules `fn` to run `delay` microseconds from now.
+    /// Schedules `fn` to run `delay` microseconds from now. A one-shot
+    /// cannot be cancelled: work that may be called off belongs on a Timer.
     template <typename F>
-    EventHandle schedule(Time delay, F&& fn) {
-        return scheduleAt(now_ + delay, std::forward<F>(fn));
+    void schedule(Time delay, F&& fn) {
+        scheduleAt(now_ + delay, std::forward<F>(fn));
     }
 
     /// Schedules `fn` at absolute time `when` (>= now).
     template <typename F>
-    EventHandle scheduleAt(Time when, F&& fn) {
-        TCPLP_ASSERT(when >= now_);
+    void scheduleAt(Time when, F&& fn) {
         const std::uint32_t slot = pool_.alloc();
-        detail::EventRecord& rec = pool_.record(slot);
-        rec.fn = SmallFn(std::forward<F>(fn));
-        rec.when = when;
-        rec.seq = nextSeq_++;
-        wheel_.push(slot);
-        ++stats_.scheduled;
-        return EventHandle(this, slot, rec.generation);
-    }
-
-    /// Moves a still-pending event to a new deadline without releasing its
-    /// record or callback — an O(1) in-place re-sort in the wheel. Returns
-    /// false (and does nothing) if the handle's event already fired or was
-    /// cancelled.
-    bool reschedule(const EventHandle& handle, Time when) {
-        TCPLP_ASSERT(when >= now_);
-        if (handle.simulator_ != this || !slotPending(handle.slot_, handle.generation_)) {
-            return false;
-        }
-        detail::EventRecord& rec = pool_.record(handle.slot_);
-        rec.when = when;
-        rec.seq = nextSeq_++;  // re-armed events fire after existing same-time events
-        wheel_.update(handle.slot_);
-        ++stats_.rescheduled;
-        return true;
+        pool_.record(slot).fn = SmallFn(std::forward<F>(fn));
+        arm(slot, when);
     }
 
     /// Runs events until the queue drains or simulated time reaches `until`.
@@ -156,34 +110,45 @@ public:
     SlabPool& framePool() { return framePool_; }
     const SlabPool& framePool() const { return framePool_; }
 
-    /// Cancels every pending event, destroying the captured callbacks NOW.
+    /// Cancels every pending event, destroying one-shot callbacks NOW.
     /// Orchestration layers call this before tearing down the components
     /// those callbacks reference — e.g. Testbed's destructor must release
     /// in-flight packets (which may hold arena-backed reassembly buffers)
-    /// while the owning nodes are still alive.
+    /// while the owning nodes are still alive. A pending Timer is stopped;
+    /// its record and callback stay with it.
     void cancelAllPending() {
         for (;;) {
             const std::uint32_t slot = wheel_.peekMin();
             if (slot == detail::kNoSlot) break;
             wheel_.remove(slot);
-            pool_.release(slot);
+            if (!pool_.record(slot).owned) pool_.release(slot);
             ++stats_.cancelled;
         }
     }
 
 private:
-    friend class EventHandle;
+    friend class Timer;
 
-    bool slotPending(std::uint32_t slot, std::uint32_t generation) const {
-        if (!pool_.contains(slot)) return false;
-        const detail::EventRecord& rec = pool_.record(slot);
-        return rec.generation == generation && rec.queuePos != detail::kNotQueued;
+    /// Stamps `slot` with `when` and the next seq (so it fires after events
+    /// already due at the same time), then queues it, or re-sorts it in place
+    /// when it is already queued.
+    void arm(std::uint32_t slot, Time when) {
+        TCPLP_ASSERT(when >= now_);
+        detail::EventRecord& rec = pool_.record(slot);
+        rec.when = when;
+        rec.seq = nextSeq_++;
+        if (rec.queuePos == detail::kNotQueued) {
+            wheel_.push(slot);
+            ++stats_.scheduled;
+        } else {
+            wheel_.update(slot);
+            ++stats_.rescheduled;
+        }
     }
 
-    void cancelSlot(std::uint32_t slot, std::uint32_t generation) {
-        if (!slotPending(slot, generation)) return;
+    void disarm(std::uint32_t slot) {
+        if (pool_.record(slot).queuePos == detail::kNotQueued) return;
         wheel_.remove(slot);
-        pool_.release(slot);
         ++stats_.cancelled;
     }
 
@@ -191,15 +156,26 @@ private:
         detail::EventRecord& rec = pool_.record(slot);
         TCPLP_ASSERT(rec.when >= now_);
         now_ = rec.when;
-        // Move the callback out and retire the record *before* invoking, so
-        // a callback that re-arms its own timer allocates a fresh event
-        // instead of mutating a slot that is about to be recycled.
-        SmallFn fn = std::move(rec.fn);
         wheel_.remove(slot);
-        pool_.release(slot);
         wheel_.onTimeAdvance(now_);
         ++stats_.fired;
-        fn();
+        if (!rec.owned) {
+            // Move a one-shot callback out and retire its record *before*
+            // invoking, so whatever it schedules can reuse the slot.
+            SmallFn fn = std::move(rec.fn);
+            pool_.release(slot);
+            fn();
+            return;
+        }
+        // A Timer's callback runs in place (it may re-arm its own Timer). The
+        // mark lets ~Timer refuse to destroy the running callback; it is
+        // restored even if the callback throws.
+        struct Mark {
+            std::uint32_t& firing;
+            std::uint32_t outer;
+            ~Mark() { firing = outer; }
+        } mark{firingOwned_, std::exchange(firingOwned_, slot)};
+        rec.fn();
     }
 
     Time now_ = 0;
@@ -208,45 +184,42 @@ private:
     mutable SchedulerStats stats_;
     detail::EventPool pool_;
     TimerWheel wheel_{pool_};  // declared after pool_, which it references
+    std::uint32_t firingOwned_ = detail::kNoSlot;  // Timer slot whose callback runs
     SlabPool framePool_;
 };
 
-inline void EventHandle::cancel() {
-    if (simulator_ != nullptr) simulator_->cancelSlot(slot_, generation_);
-    simulator_ = nullptr;
-}
-
-inline bool EventHandle::pending() const {
-    return simulator_ != nullptr && simulator_->slotPending(slot_, generation_);
-}
-
 /// Restartable one-shot timer bound to a simulator — the idiom used by all
 /// protocol timers (TCP retransmit, delayed ACK, CoAP retransmit, MAC sleep).
-/// Re-arming a pending timer reuses its pooled event record via
-/// Simulator::reschedule — no allocation, no tombstone in the ready queue.
+/// It owns one pooled event record, callback included, for its whole life:
+/// re-arming re-sorts that record in the ready queue and firing runs the
+/// callback in place — no allocation, no closure, no tombstone.
 class Timer {
 public:
     template <typename F>
-    Timer(Simulator& simulator, F&& fn) : simulator_(simulator), fn_(std::forward<F>(fn)) {}
+    Timer(Simulator& simulator, F&& fn) : simulator_(simulator), slot_(simulator.pool_.alloc()) {
+        detail::EventRecord& rec = simulator_.pool_.record(slot_);
+        rec.fn = SmallFn(std::forward<F>(fn));
+        rec.owned = true;
+    }
 
-    ~Timer() { stop(); }
+    ~Timer() {
+        TCPLP_ASSERT(simulator_.firingOwned_ != slot_ && "Timer destroyed in its own callback");
+        stop();
+        simulator_.pool_.release(slot_);
+    }
     Timer(const Timer&) = delete;
     Timer& operator=(const Timer&) = delete;
 
-    /// (Re)arms the timer `delay` from now; any earlier arming is cancelled.
-    void start(Time delay) {
-        const Time when = simulator_.now() + delay;
-        if (simulator_.reschedule(handle_, when)) return;
-        handle_ = simulator_.scheduleAt(when, [this] { fn_(); });
+    /// (Re)arms the timer `delay` from now, replacing any earlier arming.
+    void start(Time delay) { simulator_.arm(slot_, simulator_.now() + delay); }
+    void stop() { simulator_.disarm(slot_); }
+    bool running() const {
+        return simulator_.pool_.record(slot_).queuePos != detail::kNotQueued;
     }
-
-    void stop() { handle_.cancel(); }
-    bool running() const { return handle_.pending(); }
 
 private:
     Simulator& simulator_;
-    SmallFn fn_;
-    EventHandle handle_;
+    std::uint32_t slot_;
 };
 
 }  // namespace tcplp::sim

@@ -26,12 +26,16 @@ std::size_t Segment::optionBytes() const {
 PacketBuffer Segment::encode() const {
     // The wire header is at most 60 bytes (headerWords <= 15, asserted
     // below), so stage it on the stack: segment encode runs once per TCP
-    // transmission and must not allocate on the datapath. The buffer is
-    // sized for the raw sum of every option (64) so its bound holds even on
-    // the option combinations the assert rejects.
-    std::uint8_t out[64];
+    // transmission and must not allocate on the datapath. Every option at
+    // once would need 20 + 4 + 3 + 2 + 10 + 26 = 65 bytes before NOP
+    // padding; the headerWords assert rejects that before any option is
+    // staged, and put8's own bound check lets the compiler see it.
+    std::uint8_t out[60];
     std::size_t n = 0;
-    auto put8 = [&](std::uint8_t v) { out[n++] = v; };
+    auto put8 = [&](std::uint8_t v) {
+        TCPLP_ASSERT(n < sizeof(out));
+        out[n++] = v;
+    };
     auto put16 = [&](std::uint16_t v) {
         put8(std::uint8_t(v >> 8));
         put8(std::uint8_t(v));

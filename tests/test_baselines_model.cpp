@@ -278,6 +278,27 @@ TEST(SensorApp, QueueOverflowCountsDrops) {
     EXPECT_EQ(node.stats().queueDrops, 15u);
 }
 
+TEST(SensorApp, StopEndsSampling) {
+    sim::Simulator simulator;
+    struct Stuck : app::SensorTransport {
+        void pump(app::ReadingQueue&, app::SensorStats&) override {}
+    } stuck;
+    app::SensorConfig cfg;
+    cfg.sampleInterval = sim::kSecond;
+    app::SensorNode node(simulator, 1, stuck, cfg);
+    node.start();
+    simulator.runUntil(3 * sim::kSecond + 500 * sim::kMillisecond);
+    EXPECT_EQ(node.stats().generated, 3u);
+    node.stop();
+    EXPECT_EQ(simulator.pendingEvents(), 0u);  // the 4 s sample is called off
+    simulator.runUntil(10 * sim::kSecond);
+    EXPECT_EQ(node.stats().generated, 3u);
+    // A restart samples one interval later, from a single loop.
+    node.start();
+    simulator.runUntil(12 * sim::kSecond + 500 * sim::kMillisecond);
+    EXPECT_EQ(node.stats().generated, 5u);
+}
+
 TEST(SensorApp, BatchingWaitsForThreshold) {
     sim::Simulator simulator;
     struct Counting : app::SensorTransport {

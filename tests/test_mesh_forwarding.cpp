@@ -2,6 +2,9 @@
 // queue integration, routing, hop-limit, and multi-flow behavior.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "tcplp/app/bulk.hpp"
 #include "tcplp/harness/testbed.hpp"
 #include "tcplp/tcp/tcp.hpp"
@@ -158,6 +161,79 @@ TEST(MeshForwarding, TwoSimultaneousTcpFlowsBothComplete) {
     EXPECT_EQ(meterB.bytes(), 20000u);
     EXPECT_TRUE(meterA.contentOk());
     EXPECT_TRUE(meterB.contentOk());
+}
+
+// --- Reboot lifecycle: the recovery and tx-delay timers ---------------------
+
+/// Each reboot-listener edge of `node` as (isDown, time).
+using Edges = std::vector<std::pair<bool, sim::Time>>;
+void logEdges(mesh::Node& node, sim::Simulator& simulator, Edges& edges) {
+    node.addRebootListener([&](bool isDown) { edges.emplace_back(isDown, simulator.now()); });
+}
+
+TEST(NodeReboot, SecondRebootDuringDowntimePowersUpOnceAtItsDeadline) {
+    auto tb = harness::Testbed::line(1);
+    sim::Simulator& simulator = tb->simulator();
+    mesh::Node& mote = *tb->findNode(10);
+    Edges edges;
+    logEdges(mote, simulator, edges);
+    const sim::Time t0 = simulator.now();
+
+    mote.reboot(100 * sim::kMillisecond);
+    simulator.runUntil(t0 + 50 * sim::kMillisecond);
+    mote.reboot(200 * sim::kMillisecond);  // moves the power-up to 250 ms
+    simulator.runUntil(t0 + 240 * sim::kMillisecond);
+    EXPECT_TRUE(mote.isDown());
+    simulator.runUntil(t0 + sim::kSecond);
+    EXPECT_FALSE(mote.isDown());
+    EXPECT_EQ(mote.stats().reboots, 2u);
+    EXPECT_EQ(edges, (Edges{{true, t0}, {false, t0 + 250 * sim::kMillisecond}}));
+}
+
+TEST(NodeReboot, PermanentFailureDuringDowntimeNeverPowersUp) {
+    auto tb = harness::Testbed::line(1);
+    sim::Simulator& simulator = tb->simulator();
+    mesh::Node& mote = *tb->findNode(10);
+    Edges edges;
+    logEdges(mote, simulator, edges);
+    const sim::Time t0 = simulator.now();
+
+    mote.reboot(100 * sim::kMillisecond);
+    simulator.runUntil(t0 + 50 * sim::kMillisecond);
+    mote.failPermanently();
+    mote.reboot(10 * sim::kMillisecond);  // ignored: the node is gone
+    simulator.runUntil(t0 + 10 * sim::kSecond);
+    EXPECT_TRUE(mote.isDown());
+    EXPECT_TRUE(mote.isFailed());
+    EXPECT_EQ(edges, (Edges{{true, t0}}));  // one down edge, no up edge
+}
+
+TEST(NodeReboot, DatagramWaitingOutTxDelayDiesWithTheReboot) {
+    harness::TestbedConfig cfg;
+    cfg.nodeDefaults.txProcessingDelay = 10 * sim::kMillisecond;
+    auto tb = harness::Testbed::line(1, cfg);
+    sim::Simulator& simulator = tb->simulator();
+    mesh::Node& mote = *tb->findNode(10);
+    transport::UdpStack moteUdp(mote);
+    transport::UdpStack cloudUdp(tb->cloud());
+    std::vector<Bytes> got;
+    cloudUdp.bind(9000, [&](const transport::UdpDatagram& d) { got.push_back(d.payload); });
+    const sim::Time t0 = simulator.now();
+
+    // Encoded at t0, due at the MAC at 10 ms; the node is down from 1 ms to
+    // 3 ms, so it is back up well before that stale deadline.
+    moteUdp.sendTo(tb->cloud().address(), 9000, 1234, patternBytes(1, 40));
+    simulator.runUntil(t0 + sim::kMillisecond);
+    mote.reboot(2 * sim::kMillisecond);
+    simulator.runUntil(t0 + 50 * sim::kMillisecond);
+    EXPECT_FALSE(mote.isDown());
+    EXPECT_EQ(mote.macLayer()->stats().dataSent, 0u);  // never reached the MAC
+
+    moteUdp.sendTo(tb->cloud().address(), 9000, 1234, patternBytes(2, 40));
+    simulator.runUntil(t0 + 5 * sim::kSecond);
+    EXPECT_EQ(mote.macLayer()->stats().dataSent, 1u);  // sent once
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_TRUE(matchesPattern(2, got[0]));
 }
 
 TEST(OfficeTopology, SensorsSitThreeToFiveHopsOut) {

@@ -101,6 +101,33 @@ TEST(Routing, ResetForgetsLearnedVerdicts) {
     EXPECT_TRUE(table.isLive(7));
 }
 
+TEST(Routing, ResetKillsAnArmedProbe) {
+    // reset() (a reboot) destroys each entry with its probe Timer: the probe
+    // armed before it never goes out, and a neighbor that dies again is
+    // first probed a full interval after that new death.
+    sim::Simulator simulator;
+    mesh::NeighborConfig cfg = enabledConfig();
+    cfg.probeInterval = sim::kSecond;
+    cfg.probeJitterMax = 0;
+    mesh::NeighborTable table(simulator, cfg);
+    std::vector<sim::Time> probes;
+    table.setProbeSender([&](phy::NodeId) { probes.push_back(simulator.now()); });
+
+    table.onTxOutcome(7, false);
+    table.onTxOutcome(7, false);  // dead at 0 s: probe armed for 1 s
+    simulator.runUntil(200 * sim::kMillisecond);
+    table.reset();
+    EXPECT_TRUE(table.isLive(7));
+    simulator.runUntil(500 * sim::kMillisecond);
+    table.onTxOutcome(7, false);
+    table.onTxOutcome(7, false);  // dead again at 0.5 s: probe due at 1.5 s
+    simulator.runUntil(1400 * sim::kMillisecond);
+    EXPECT_TRUE(probes.empty());  // nothing at the stale 1 s deadline
+    simulator.runUntil(1600 * sim::kMillisecond);
+    EXPECT_EQ(probes, (std::vector<sim::Time>{1500 * sim::kMillisecond}));
+    EXPECT_EQ(table.stats().probesSent, 1u);
+}
+
 // --- RouteManager -----------------------------------------------------------
 
 TEST(Routing, NullLivenessBehavesLikeTheStaticMap) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "tcplp/sim/simulator.hpp"
@@ -34,12 +35,15 @@ TEST(Simulator, SimultaneousEventsFifo) {
 TEST(Simulator, CancelPreventsFiring) {
     Simulator simulator;
     bool fired = false;
-    EventHandle h = simulator.schedule(50, [&] { fired = true; });
-    EXPECT_TRUE(h.pending());
-    h.cancel();
+    Timer t(simulator, [&] { fired = true; });
+    t.start(50);
+    EXPECT_TRUE(t.running());
+    t.stop();
+    t.stop();  // stopping an idle timer is a no-op
     simulator.run();
     EXPECT_FALSE(fired);
-    EXPECT_FALSE(h.pending());
+    EXPECT_FALSE(t.running());
+    EXPECT_EQ(simulator.stats().cancelled, 1u);
 }
 
 TEST(Simulator, RunUntilStopsAtBoundary) {
@@ -90,56 +94,76 @@ TEST(Timer, StopPreventsFire) {
     EXPECT_EQ(fires, 0);
 }
 
-TEST(EventHandle, SlotReuseDoesNotResurrectOldHandle) {
+TEST(Timer, RearmAfterFiringCountsAsScheduled) {
     Simulator simulator;
-    bool aFired = false;
-    bool bFired = false;
-    EventHandle a = simulator.schedule(50, [&] { aFired = true; });
-    a.cancel();  // releases the pooled slot
-    // The freed slot is recycled for b; a's stale generation must not alias.
-    EventHandle b = simulator.schedule(60, [&] { bFired = true; });
-    EXPECT_FALSE(a.pending());
-    EXPECT_TRUE(b.pending());
-    a.cancel();  // double-cancel through a stale handle: must not touch b
-    EXPECT_TRUE(b.pending());
+    int fires = 0;
+    Timer t(simulator, [&] { ++fires; });
+    t.start(10);
     simulator.run();
-    EXPECT_FALSE(aFired);
-    EXPECT_TRUE(bFired);
-}
-
-TEST(EventHandle, CopiesShareTheEvent) {
-    Simulator simulator;
-    bool fired = false;
-    EventHandle a = simulator.schedule(50, [&] { fired = true; });
-    EventHandle copy = a;
-    copy.cancel();
-    EXPECT_FALSE(a.pending());
+    EXPECT_EQ(fires, 1);
+    EXPECT_FALSE(t.running());
+    // A fired timer is idle: re-arming queues its record again rather than
+    // re-sorting a pending one.
+    t.start(100);
+    EXPECT_TRUE(t.running());
+    EXPECT_EQ(simulator.stats().scheduled, 2u);
+    EXPECT_EQ(simulator.stats().rescheduled, 0u);
     simulator.run();
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventHandle, HandleGoesStaleAfterFiring) {
-    Simulator simulator;
-    EventHandle h = simulator.schedule(10, [] {});
-    simulator.run();
-    EXPECT_FALSE(h.pending());
-    // Rescheduling a fired handle must be refused.
-    EXPECT_FALSE(simulator.reschedule(h, simulator.now() + 100));
+    EXPECT_EQ(fires, 2);
+    EXPECT_EQ(simulator.now(), 110);
 }
 
 TEST(Simulator, RescheduleMovesDeadlineBothWays) {
     Simulator simulator;
     std::vector<int> order;
-    EventHandle a = simulator.schedule(300, [&] { order.push_back(1); });
+    Timer a(simulator, [&] { order.push_back(1); });
+    Timer c(simulator, [&] { order.push_back(3); });
+    a.start(300);
     simulator.schedule(200, [&] { order.push_back(2); });
     // Pull `a` earlier than the other event...
-    EXPECT_TRUE(simulator.reschedule(a, 100));
+    a.start(100);
     // ...and push a third event later than everything.
-    EventHandle c = simulator.schedule(50, [&] { order.push_back(3); });
-    EXPECT_TRUE(simulator.reschedule(c, 400));
+    c.start(50);
+    c.start(400);
     simulator.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(simulator.stats().rescheduled, 2u);
+}
+
+TEST(Timer, ThrowingCallbackClearsTheFiringMark) {
+    // The firing mark ~Timer checks is cleared even when the callback throws
+    // (the chaos watchdog ends a run by throwing out of runUntil).
+    Simulator simulator;
+    auto t = std::make_unique<Timer>(simulator, [] { throw std::runtime_error("stall"); });
+    t->start(10);
+    EXPECT_THROW(simulator.run(), std::runtime_error);
+    t.reset();  // would trip the in-own-callback assert if the mark leaked
+    EXPECT_EQ(simulator.pendingEvents(), 0u);
+}
+
+TEST(Timer, CancelAllPendingStopsButKeepsTheCallback) {
+    Simulator simulator;
+    int fires = 0;
+    Timer t(simulator, [&] { ++fires; });
+    t.start(10);
+    simulator.cancelAllPending();
+    EXPECT_FALSE(t.running());
+    EXPECT_EQ(simulator.stats().cancelled, 1u);
+    t.start(20);  // the record and its callback stayed with the timer
+    simulator.run();
+    EXPECT_EQ(fires, 1);
+}
+
+TEST(TimerDeathTest, DestroyedInsideItsOwnCallbackAborts) {
+    EXPECT_DEATH(
+        {
+            Simulator simulator;
+            std::unique_ptr<Timer> t;
+            t = std::make_unique<Timer>(simulator, [&t] { t.reset(); });
+            t->start(10);
+            simulator.run();
+        },
+        "Timer destroyed in its own callback");
 }
 
 // --- Timer-storm suite over the timer-wheel ready queue --------------------
@@ -158,7 +182,7 @@ TEST(TimerWheel, RestartStormReusesOnePooledEvent) {
     for (int i = 0; i < 10000; ++i) t.start(100 + (i % 7));
     EXPECT_EQ(simulator.pendingEvents(), 1u);
     // One slab of event records is enough for the whole storm: re-arming
-    // reschedules the same pooled record instead of allocating.
+    // re-sorts the timer's own pooled record instead of allocating.
     EXPECT_EQ(simulator.stats().scheduled, 1u);
     EXPECT_EQ(simulator.stats().rescheduled, 9999u);
     EXPECT_LE(simulator.stats().poolCapacity, 256u);
@@ -198,21 +222,23 @@ TEST(TimerWheel, RearmInsideOwnCallbackKeepsFiring) {
 
 TEST(TimerWheel, CancelMidFlightSkipsExactlyTheCancelled) {
     // Cancel from inside a running callback (the delayed-ACK-quash idiom):
-    // event 2's callback cancels events 5 and 9 while 3..11 are pending.
+    // timer 2's callback stops timers 5 and 9 while 3..11 are pending.
     Simulator simulator;
     std::vector<int> order;
-    std::vector<EventHandle> handles;
+    std::vector<std::unique_ptr<Timer>> timers;
     for (int i = 0; i < 12; ++i) {
-        handles.push_back(simulator.schedule(Time(100 * (i + 1)),
-                                             [&order, i] { order.push_back(i); }));
+        timers.push_back(std::make_unique<Timer>(simulator, [&, i] {
+            order.push_back(i);
+            if (i == 2) {
+                timers[5]->stop();
+                timers[9]->stop();
+            }
+        }));
+        timers.back()->start(Time(100 * (i + 1)));
     }
-    handles[2].cancel();
-    handles[2] = simulator.schedule(Time(250), [&] {
-        order.push_back(2);
-        handles[5].cancel();
-        handles[9].cancel();
-    });
-    handles[3].cancel();  // cancel before the run starts, too
+    timers[2]->stop();
+    timers[2]->start(Time(250));  // idle again: a fresh arming
+    timers[3]->stop();            // cancel before the run starts, too
     simulator.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 6, 7, 8, 10, 11}));
     EXPECT_EQ(simulator.stats().cancelled, 4u);
@@ -224,13 +250,16 @@ TEST(TimerWheel, RescheduleToEarlierSlotCrossesBuckets) {
     // near event pushed far out) must still fire in (when, seq) order.
     Simulator simulator;
     std::vector<int> order;
-    EventHandle farA = simulator.schedule(2 * kMinute, [&] { order.push_back(1); });
-    EventHandle farB = simulator.schedule(3 * kHour, [&] { order.push_back(2); });
-    EventHandle near = simulator.schedule(5 * kMillisecond, [&] { order.push_back(3); });
+    Timer farA(simulator, [&] { order.push_back(1); });
+    Timer farB(simulator, [&] { order.push_back(2); });
+    Timer near(simulator, [&] { order.push_back(3); });
+    farA.start(2 * kMinute);
+    farB.start(3 * kHour);
+    near.start(5 * kMillisecond);
     simulator.schedule(10 * kMillisecond, [&] { order.push_back(4); });
-    ASSERT_TRUE(simulator.reschedule(farA, 2 * kMillisecond));   // hours -> ticks
-    ASSERT_TRUE(simulator.reschedule(farB, 3 * kMillisecond));   // hours -> ticks
-    ASSERT_TRUE(simulator.reschedule(near, 30 * kMinute));       // ticks -> level 2+
+    farA.start(2 * kMillisecond);  // minutes -> ticks
+    farB.start(3 * kMillisecond);  // hours -> ticks
+    near.start(30 * kMinute);      // ticks -> level 2+
     simulator.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
     EXPECT_EQ(simulator.stats().rescheduled, 3u);
